@@ -4,7 +4,13 @@
    depths — run statistics, the full observer-visible retirement
    stream (hashed), PMU sample archives byte for byte, and fused
    pipeline reconstructions — over the bundled registry workloads,
-   tight-budget Runaway runs and seeded random synthetic programs. *)
+   tight-budget Runaway runs and seeded random synthetic programs.
+
+   The legacy reference itself is pinned by committed digests (the
+   [pinned_*] tables below), so a change to [Exec.step] or the timing
+   model that moves every engine together still fails.  On a mismatch
+   the failure lists every moved digest in table syntax; an intended
+   semantic change updates the tables from that output. *)
 
 open Hbbp_cpu
 open Hbbp_core
@@ -61,8 +67,27 @@ let pp_outcome = function
   | Ran_away n -> Printf.sprintf "runaway %d" n
   | Faulted msg -> Printf.sprintf "fault %s" msg
 
+(* One line per reference run: outcome, stream hash, retirements. *)
+let digest_of (outcome, hash, retired) =
+  Printf.sprintf "%s hash=%x n=%d" (pp_outcome outcome) hash retired
+
+(* Compare [(name, digest)] pairs against a pinned table, reporting
+   every mismatch at once so one failing run shows all moved digests. *)
+let check_pinned ~what table got =
+  let moved =
+    List.filter_map
+      (fun (name, d) ->
+        match List.assoc_opt name table with
+        | Some expected when String.equal expected d -> None
+        | Some _ | None -> Some (Printf.sprintf "    (%S,\n     %S);" name d))
+      got
+  in
+  if moved <> [] || List.length table <> List.length got then
+    Alcotest.failf "%s: %d of %d pinned digests moved; current values:\n%s"
+      what (List.length moved) (List.length got) (String.concat "\n" moved)
+
 (* Compare every engine's (outcome, stream hash, retirement count)
-   against the legacy reference. *)
+   against the legacy reference; returns the reference's digest. *)
 let check_differential ~what ?max_instructions (w : Workload.t) =
   let reference = run_hashed Machine.Legacy ?max_instructions w in
   List.iter
@@ -75,7 +100,8 @@ let check_differential ~what ?max_instructions (w : Workload.t) =
           what
           (Machine.engine_name engine)
           (pp_outcome go) (pp_outcome ro) gn rn gh rh)
-    engines
+    engines;
+  digest_of reference
 
 (* ------------------------------------------------------------------ *)
 (* Registry sweep: every bundled workload, budget-capped so the suite
@@ -83,22 +109,118 @@ let check_differential ~what ?max_instructions (w : Workload.t) =
    same retirement in every engine (the due-by-N budgeting identity);
    smaller ones finish and compare full stats.                         *)
 
+(* Legacy reference digests at the sweep's 400k budget. *)
+let pinned_registry =
+  [
+    ("perlbench",
+     "runaway 400000 hash=73c6620c63126366 n=400000");
+    ("bzip2",
+     "runaway 400000 hash=7f8f2c29ac034648 n=400000");
+    ("gcc",
+     "runaway 400000 hash=67608db931b859db n=400000");
+    ("mcf",
+     "runaway 400000 hash=70d98f27ab819a4 n=400000");
+    ("gobmk",
+     "runaway 400000 hash=b4449cda8c0b91c n=400000");
+    ("hmmer",
+     "runaway 400000 hash=39c7b13e02e44d7d n=400000");
+    ("sjeng",
+     "runaway 400000 hash=7d5d41070d6060e3 n=400000");
+    ("libquantum",
+     "runaway 400000 hash=76edad76c5a39f18 n=400000");
+    ("h264ref",
+     "runaway 400000 hash=5a0dafab85f048f7 n=400000");
+    ("x264ref",
+     "runaway 400000 hash=284b16bdcd89702f n=400000");
+    ("omnetpp",
+     "runaway 400000 hash=4134df8cb4d31b4e n=400000");
+    ("astar",
+     "runaway 400000 hash=355bca8c456c90e n=400000");
+    ("xalancbmk",
+     "runaway 400000 hash=16bc5fd28008b5cd n=400000");
+    ("milc",
+     "runaway 400000 hash=1cb659d10a3eae2 n=400000");
+    ("namd",
+     "runaway 400000 hash=1dcdb2d6d49fd76f n=400000");
+    ("dealII",
+     "runaway 400000 hash=4163b762131657e5 n=400000");
+    ("soplex",
+     "runaway 400000 hash=4da57cd6cc354c5b n=400000");
+    ("povray",
+     "runaway 400000 hash=13bf4e12a26df3d n=400000");
+    ("gamess",
+     "runaway 400000 hash=62ea151af845db60 n=400000");
+    ("lbm",
+     "runaway 400000 hash=11eb7cb74bb8552d n=400000");
+    ("sphinx3",
+     "runaway 400000 hash=2cc2f3da4bd74f73 n=400000");
+    ("test40",
+     "runaway 400000 hash=700369df8e99cbae n=400000");
+    ("hydro-post",
+     "runaway 400000 hash=74a36d2b18388fb3 n=400000");
+    ("hello",
+     "runaway 400000 hash=269e302504bda48d n=400000");
+    ("fitter-x87",
+     "runaway 400000 hash=19613684eb4aa8f3 n=400000");
+    ("fitter-sse",
+     "runaway 400000 hash=7f2ba2fbc037f4a2 n=400000");
+    ("fitter-avx",
+     "runaway 400000 hash=dc27e574108274a n=400000");
+    ("fitter-avx-noinline",
+     "runaway 400000 hash=503ff2c211b73ff6 n=400000");
+    ("clforward-before",
+     "runaway 400000 hash=2a11d8df3f4d61d3 n=400000");
+    ("clforward-after",
+     "runaway 400000 hash=6c2f7921ac3e33b2 n=400000");
+    ("train-short-int",
+     "runaway 400000 hash=40d6babf51dbc750 n=400000");
+    ("train-mid-int",
+     "runaway 400000 hash=6c0c44823b90e1d0 n=400000");
+    ("train-long-fp",
+     "runaway 400000 hash=507af235b3202fc7 n=400000");
+    ("train-longer",
+     "runaway 400000 hash=2503131bf8cfeec8 n=400000");
+    ("train-shadow",
+     "runaway 400000 hash=6b32badaf929e953 n=400000");
+    ("train-branchy",
+     "runaway 400000 hash=76e1ffc82f5b730f n=400000");
+    ("train-x87",
+     "runaway 400000 hash=338af10e5049bdd2 n=400000");
+    ("train-mixed",
+     "runaway 400000 hash=6c97f3ac5c40df48 n=400000");
+  ]
+
 let test_registry_differential () =
-  List.iter
+  List.map
     (fun name ->
       let w = Hbbp_workloads.Registry.find name in
-      check_differential ~what:name ~max_instructions:400_000 w)
+      (name, check_differential ~what:name ~max_instructions:400_000 w))
     Hbbp_workloads.Registry.names
+  |> check_pinned ~what:"registry sweep" pinned_registry
 
 (* Full, uncapped runs on the machine-bench set: short blocks (mcf),
    branch/x87-heavy (test40), syscall-heavy (hello), SSE (fitter-sse). *)
 let bench_set = [ "mcf"; "test40"; "hello"; "fitter-sse" ]
 
+(* Legacy reference digests of the uncapped bench-set runs; the
+   outcome field is the full [run_stats]. *)
+let pinned_bench_set =
+  [
+    ("mcf",
+     "finished retired=2895103 cycles=5045769 taken=259193 kernel=0 hash=51135014d2d3c425 n=2895103");
+    ("test40",
+     "finished retired=4144249 cycles=7318578 taken=667551 kernel=0 hash=1de3231afaa581c0 n=4144249");
+    ("hello",
+     "finished retired=18356005 cycles=19420011 taken=4472002 kernel=8584000 hash=6a2ed544342e9ab3 n=18356005");
+    ("fitter-sse",
+     "finished retired=3161542 cycles=5322572 taken=320513 kernel=0 hash=f7e3c2651dd57cc n=3161542");
+  ]
+
 let test_bench_set_full_runs () =
-  List.iter
+  List.map
     (fun name ->
       let w = Hbbp_workloads.Registry.find name in
-      check_differential ~what:name w;
+      let digest = check_differential ~what:name w in
       (* Bare runs (no observers) take the separate no-observer path;
          their stats must match the armed stats too. *)
       let armed, _, _ = run_hashed Machine.Legacy w in
@@ -111,8 +233,10 @@ let test_bench_set_full_runs () =
               name
               (Machine.engine_name engine)
               (pp_outcome bare) (pp_outcome armed))
-        engines)
+        engines;
+      (name, digest))
     bench_set
+  |> check_pinned ~what:"bench set full runs" pinned_bench_set
 
 (* Runaway budgeting: sweep awkward budgets (mid-block, block boundary,
    budget 1) and require identical truncation points. *)
@@ -120,9 +244,11 @@ let test_runaway_budgets () =
   let w = Hbbp_workloads.Registry.find "hello" in
   List.iter
     (fun budget ->
-      check_differential
-        ~what:(Printf.sprintf "hello budget=%d" budget)
-        ~max_instructions:budget w)
+      ignore
+        (check_differential
+           ~what:(Printf.sprintf "hello budget=%d" budget)
+           ~max_instructions:budget w
+          : string))
     [ 1; 2; 3; 7; 100; 1_001; 65_537 ]
 
 (* ------------------------------------------------------------------ *)
@@ -131,8 +257,17 @@ let test_runaway_budgets () =
 let config_for engine =
   { Pipeline.default_config with Pipeline.engine; keep_records = true }
 
+(* MD5 of the legacy [collect_archive] bytes. *)
+let pinned_archives =
+  [
+    ("hello",
+     "8972eaa5c88c01fe6e25c40ae8bd70c9");
+    ("test40",
+     "40783abeebe170fc2b90cfe2fe46db31");
+  ]
+
 let test_archives_byte_identical () =
-  List.iter
+  List.map
     (fun name ->
       let w = Hbbp_workloads.Registry.find name in
       let bytes_of engine =
@@ -147,8 +282,10 @@ let test_archives_byte_identical () =
                (Machine.engine_name engine))
             true
             (Bytes.equal (bytes_of engine) reference))
-        engines)
+        engines;
+      (name, Digest.to_hex (Digest.bytes reference)))
     [ "hello"; "test40" ]
+  |> check_pinned ~what:"archive bytes" pinned_archives
 
 let profiles_equal (a : Pipeline.profile) (b : Pipeline.profile) =
   compare a.stats b.stats = 0
@@ -217,7 +354,7 @@ let test_fuzz_random_programs () =
         (fuzz_params seed)
     in
     let w = Hbbp_workloads.Codegen.user_workload ~name funcs in
-    check_differential ~what:name w
+    ignore (check_differential ~what:name w : string)
   done
 
 (* ------------------------------------------------------------------ *)
