@@ -17,12 +17,10 @@ let run ppf =
         (Perf.rate r /. 1e6))
     runs;
   let legacy = Perf.engine_rate runs "legacy" in
-  let block = Perf.engine_rate runs "block" in
   let superblock = Perf.engine_rate runs "superblock" in
   let ratio = superblock /. legacy in
-  Format.fprintf ppf
-    "aggregate: legacy %.2fM/s, block %.2fM/s, superblock %.2fM/s@."
-    (legacy /. 1e6) (block /. 1e6) (superblock /. 1e6);
+  Format.fprintf ppf "aggregate: legacy %.2fM/s, superblock %.2fM/s@."
+    (legacy /. 1e6) (superblock /. 1e6);
   Format.fprintf ppf "superblock/legacy ratio: %.2fx (gate: >= %.2fx)@." ratio
     required_ratio;
   if ratio < required_ratio then begin

@@ -814,9 +814,9 @@ let step (st : State.t) (node : Exec_graph.node) =
    and direct branch targets — into one specialized closure.  The
    closures compute {e exactly} the state transitions of [step], in the
    same order, so a run through compiled kernels is bit-identical to a
-   stepped run; anything without a specialization (or with a malformed
-   operand list) falls back to a [step] thunk, which also preserves the
-   exact fault behaviour of the legacy path. *)
+   stepped run; anything without an arm in the table (or with a
+   malformed operand list) falls back to a [step] thunk, which also
+   preserves the exact fault behaviour of the legacy path. *)
 
 (* Pre-resolved effective address: register codes and displacement are
    baked in; only the register file is read at execution. *)
@@ -844,16 +844,6 @@ let compile_rd_int (op : Operand.t) : State.t -> int64 =
       let ea = compile_ea m in
       fun st -> Memory.read_i64 st.mem (ea st)
   | Operand.Reg _ | Operand.Rel _ -> fun st -> rd_int st op
-
-let compile_wr_int (op : Operand.t) : State.t -> int64 -> unit =
-  match op with
-  | Operand.Reg (Operand.Gpr g) ->
-      let c = Operand.gpr_code g in
-      fun st v -> Bigarray.Array1.unsafe_set st.gprs c v
-  | Operand.Mem m ->
-      let ea = compile_ea m in
-      fun st v -> Memory.write_i64 st.mem (ea st) v
-  | Operand.Reg _ | Operand.Imm _ | Operand.Rel _ -> fun st v -> wr_int st op v
 
 let compile_rd_fp ~wide (op : Operand.t) : State.t -> float =
   match op with
@@ -1034,20 +1024,23 @@ let compile_x87_rhs (i : Instruction.t) : (State.t -> float) option =
 let some (f : State.t -> control) = Some f
 
 (* ------------------------------------------------------------------ *)
-(* Flat hot-form kernels.
+(* The compile table.
 
-   The composed forms below assemble kernels from small rd/wr closures.
-   With the unboxed register file that composition has a hidden cost:
-   every [int64] or [float] crossing a closure boundary is re-boxed
-   (one minor allocation each), so a register-register ALU op pays
-   three allocations per retirement and a helper call per flag group.
-   For the operand shapes that dominate real instruction mixes —
-   register/register, register/immediate, simple loads, the x87 stack
-   forms and scalar-SSE register forms — we emit single flat closures
-   whose whole read/compute/flags/write sequence stays inside one
-   function body, where the compiler keeps every intermediate unboxed.
-   Flag updates are written out inline and are field-for-field those
-   of [set_add_flags]/[set_sub_flags]/[set_logic_flags]/[set_zs]. *)
+   One match over (mnemonic, operands).  Most arms are flat: with the
+   unboxed register file, every [int64] or [float] crossing a closure
+   boundary is re-boxed (one minor allocation each), so the shapes that
+   dominate real instruction mixes — register/register,
+   register/immediate, simple loads, the x87 stack forms and scalar-SSE
+   forms — get single closures whose whole read/compute/flags/write
+   sequence stays inside one function body, where the compiler keeps
+   every intermediate unboxed.  Flag updates are written out inline and
+   are field-for-field those of [set_add_flags]/[set_sub_flags]/
+   [set_logic_flags]/[set_zs].  The remaining arms, keyed on the
+   mnemonic alone, compose kernels from the rd/wr helpers above.
+
+   Every arm retires instructions in at least one registry workload
+   (EXPERIMENTS.md, "Compile-table coverage"); shapes no workload
+   reaches run through the [step] thunk instead. *)
 
 module BA = Bigarray.Array1
 
@@ -1061,7 +1054,8 @@ let direct_target_of (node : Exec_graph.node) =
       | Some disp -> Some (node.addr + node.len + disp)
       | None -> None)
 
-let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
+(* [None] sends the node through the [step] fallback. *)
+let specialize (node : Exec_graph.node) : (State.t -> control) option =
   let i = node.instr in
   let ops = i.operands in
   match (i.mnemonic, ops) with
@@ -1084,15 +1078,6 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
       some (fun st ->
           Memory.write_i64 st.mem (ea st) (BA.unsafe_get st.gprs sc);
           Fall)
-  | MOV, [| Operand.Mem m; Operand.Imm v |] ->
-      let ea = compile_ea m in
-      some (fun st -> Memory.write_i64 st.mem (ea st) v; Fall)
-  | MOVZX, [| Operand.Reg (Operand.Gpr d); Operand.Reg (Operand.Gpr s) |] ->
-      let dc = Operand.gpr_code d and sc = Operand.gpr_code s in
-      some (fun st ->
-          BA.unsafe_set st.gprs dc
-            (Int64.logand (BA.unsafe_get st.gprs sc) 0xFFFFL);
-          Fall)
   | MOVSXD, [| Operand.Reg (Operand.Gpr d); Operand.Reg (Operand.Gpr s) |] ->
       let dc = Operand.gpr_code d and sc = Operand.gpr_code s in
       some (fun st ->
@@ -1101,83 +1086,20 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
                (Int64.shift_left (BA.unsafe_get st.gprs sc) 32)
                32);
           Fall)
-  | MOVSXD, [| Operand.Reg (Operand.Gpr d); Operand.Mem m |] ->
-      let dc = Operand.gpr_code d and ea = compile_ea m in
+  | ( LEA,
+      [| Operand.Reg (Operand.Gpr d);
+         Operand.Mem { Operand.base; index = Some ix; scale; disp } |] ) ->
+      let dc = Operand.gpr_code d
+      and b = Operand.gpr_code base
+      and x = Operand.gpr_code ix in
       some (fun st ->
           BA.unsafe_set st.gprs dc
-            (Int64.shift_right
-               (Int64.shift_left (Memory.read_i64 st.mem (ea st)) 32)
-               32);
+            (Int64.of_int
+               (Int64.to_int (BA.unsafe_get st.gprs b)
+               + (Int64.to_int (BA.unsafe_get st.gprs x) * scale)
+               + disp));
           Fall)
-  | LEA, [| Operand.Reg (Operand.Gpr d); Operand.Mem m |] -> (
-      let dc = Operand.gpr_code d in
-      let b = Operand.gpr_code m.Operand.base and disp = m.Operand.disp in
-      match m.Operand.index with
-      | None ->
-          some (fun st ->
-              BA.unsafe_set st.gprs dc
-                (Int64.of_int
-                   (Int64.to_int (BA.unsafe_get st.gprs b) + disp));
-              Fall)
-      | Some ix ->
-          let x = Operand.gpr_code ix and scale = m.Operand.scale in
-          some (fun st ->
-              BA.unsafe_set st.gprs dc
-                (Int64.of_int
-                   (Int64.to_int (BA.unsafe_get st.gprs b)
-                   + (Int64.to_int (BA.unsafe_get st.gprs x) * scale)
-                   + disp));
-              Fall))
-  | CMOVZ, [| Operand.Reg (Operand.Gpr d); Operand.Reg (Operand.Gpr s) |] ->
-      let dc = Operand.gpr_code d and sc = Operand.gpr_code s in
-      some (fun st ->
-          if st.zf then BA.unsafe_set st.gprs dc (BA.unsafe_get st.gprs sc);
-          Fall)
-  | CMOVNZ, [| Operand.Reg (Operand.Gpr d); Operand.Reg (Operand.Gpr s) |] ->
-      let dc = Operand.gpr_code d and sc = Operand.gpr_code s in
-      some (fun st ->
-          if not st.zf then
-            BA.unsafe_set st.gprs dc (BA.unsafe_get st.gprs sc);
-          Fall)
-  | SETZ, [| Operand.Reg (Operand.Gpr d) |] ->
-      let dc = Operand.gpr_code d in
-      some (fun st ->
-          BA.unsafe_set st.gprs dc (if st.zf then 1L else 0L);
-          Fall)
-  | SETNZ, [| Operand.Reg (Operand.Gpr d) |] ->
-      let dc = Operand.gpr_code d in
-      some (fun st ->
-          BA.unsafe_set st.gprs dc (if st.zf then 0L else 1L);
-          Fall)
-  | SETLE, [| Operand.Reg (Operand.Gpr d) |] ->
-      let dc = Operand.gpr_code d in
-      some (fun st ->
-          BA.unsafe_set st.gprs dc
-            (if st.zf || st.sf <> st.off then 1L else 0L);
-          Fall)
-  (* ---- stack ---- *)
-  | PUSH, [| Operand.Reg (Operand.Gpr s) |] ->
-      let sc = Operand.gpr_code s in
-      some (fun st ->
-          let rsp = Int64.sub (BA.unsafe_get st.gprs rsp_code) 8L in
-          BA.unsafe_set st.gprs rsp_code rsp;
-          Memory.write_i64 st.mem (Int64.to_int rsp)
-            (BA.unsafe_get st.gprs sc);
-          Fall)
-  | PUSH, [| Operand.Imm v |] ->
-      some (fun st ->
-          let rsp = Int64.sub (BA.unsafe_get st.gprs rsp_code) 8L in
-          BA.unsafe_set st.gprs rsp_code rsp;
-          Memory.write_i64 st.mem (Int64.to_int rsp) v;
-          Fall)
-  | POP, [| Operand.Reg (Operand.Gpr d) |] ->
-      let dc = Operand.gpr_code d in
-      some (fun st ->
-          let rsp = BA.unsafe_get st.gprs rsp_code in
-          let v = Memory.read_i64 st.mem (Int64.to_int rsp) in
-          BA.unsafe_set st.gprs rsp_code (Int64.add rsp 8L);
-          BA.unsafe_set st.gprs dc v;
-          Fall)
+  (* ---- control transfer ---- *)
   | RET_NEAR, _ ->
       some (fun st ->
           let rsp = BA.unsafe_get st.gprs rsp_code in
@@ -1195,6 +1117,17 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
               Memory.write_i64 st.mem (Int64.to_int rsp) ra;
               tk)
       | None -> None)
+  | CALL_NEAR, [| (Operand.Reg _ | Operand.Mem _) as op |] ->
+      let ra = Int64.of_int (node.addr + node.len) and rd = compile_rd_int op in
+      some (fun st ->
+          push st ra;
+          Taken (Int64.to_int (rd st)))
+  | SYSCALL, _ ->
+      let c = Syscall_enter (node.addr + node.len) in
+      some (fun _ -> c)
+  | SYSRET, _ ->
+      let rcx = Operand.gpr_code Operand.RCX in
+      some (fun st -> Sysret_exit (Int64.to_int (BA.unsafe_get st.gprs rcx)))
   (* ---- integer ALU, inline flags ---- *)
   | ADD, [| Operand.Reg (Operand.Gpr d); Operand.Reg (Operand.Gpr s) |] ->
       let dc = Operand.gpr_code d and sc = Operand.gpr_code s in
@@ -1219,19 +1152,6 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
           st.sf <- r < 0L;
           st.cf <- Int64.logxor r Int64.min_int < Int64.logxor a Int64.min_int;
           let sa = a < 0L and sr = r < 0L in
-          st.off <- sa = sb && sr <> sa;
-          BA.unsafe_set st.gprs dc r;
-          Fall)
-  | ADD, [| Operand.Reg (Operand.Gpr d); Operand.Mem m |] ->
-      let dc = Operand.gpr_code d and ea = compile_ea m in
-      some (fun st ->
-          let a = BA.unsafe_get st.gprs dc in
-          let b = Memory.read_i64 st.mem (ea st) in
-          let r = Int64.add a b in
-          st.zf <- r = 0L;
-          st.sf <- r < 0L;
-          st.cf <- Int64.logxor r Int64.min_int < Int64.logxor a Int64.min_int;
-          let sa = a < 0L and sb = b < 0L and sr = r < 0L in
           st.off <- sa = sb && sr <> sa;
           BA.unsafe_set st.gprs dc r;
           Fall)
@@ -1261,19 +1181,6 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
           st.off <- sa <> sb && sr <> sa;
           BA.unsafe_set st.gprs dc r;
           Fall)
-  | SUB, [| Operand.Reg (Operand.Gpr d); Operand.Mem m |] ->
-      let dc = Operand.gpr_code d and ea = compile_ea m in
-      some (fun st ->
-          let a = BA.unsafe_get st.gprs dc in
-          let b = Memory.read_i64 st.mem (ea st) in
-          let r = Int64.sub a b in
-          st.zf <- r = 0L;
-          st.sf <- r < 0L;
-          st.cf <- Int64.logxor a Int64.min_int < Int64.logxor b Int64.min_int;
-          let sa = a < 0L and sb = b < 0L and sr = r < 0L in
-          st.off <- sa <> sb && sr <> sa;
-          BA.unsafe_set st.gprs dc r;
-          Fall)
   | CMP, [| Operand.Reg (Operand.Gpr d); Operand.Reg (Operand.Gpr s) |] ->
       let dc = Operand.gpr_code d and sc = Operand.gpr_code s in
       some (fun st ->
@@ -1298,42 +1205,6 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
           let sa = a < 0L and sr = r < 0L in
           st.off <- sa <> sb && sr <> sa;
           Fall)
-  | CMP, [| Operand.Reg (Operand.Gpr d); Operand.Mem m |] ->
-      let dc = Operand.gpr_code d and ea = compile_ea m in
-      some (fun st ->
-          let a = BA.unsafe_get st.gprs dc in
-          let b = Memory.read_i64 st.mem (ea st) in
-          let r = Int64.sub a b in
-          st.zf <- r = 0L;
-          st.sf <- r < 0L;
-          st.cf <- Int64.logxor a Int64.min_int < Int64.logxor b Int64.min_int;
-          let sa = a < 0L and sb = b < 0L and sr = r < 0L in
-          st.off <- sa <> sb && sr <> sa;
-          Fall)
-  | CMP, [| Operand.Mem m; Operand.Imm b |] ->
-      let ea = compile_ea m in
-      let sb = b < 0L and xb = Int64.logxor b Int64.min_int in
-      some (fun st ->
-          let a = Memory.read_i64 st.mem (ea st) in
-          let r = Int64.sub a b in
-          st.zf <- r = 0L;
-          st.sf <- r < 0L;
-          st.cf <- Int64.logxor a Int64.min_int < xb;
-          let sa = a < 0L and sr = r < 0L in
-          st.off <- sa <> sb && sr <> sa;
-          Fall)
-  | TEST, [| Operand.Reg (Operand.Gpr d); Operand.Reg (Operand.Gpr s) |] ->
-      let dc = Operand.gpr_code d and sc = Operand.gpr_code s in
-      some (fun st ->
-          let r =
-            Int64.logand (BA.unsafe_get st.gprs dc)
-              (BA.unsafe_get st.gprs sc)
-          in
-          st.zf <- r = 0L;
-          st.sf <- r < 0L;
-          st.cf <- false;
-          st.off <- false;
-          Fall)
   | TEST, [| Operand.Reg (Operand.Gpr d); Operand.Imm b |] ->
       let dc = Operand.gpr_code d in
       some (fun st ->
@@ -1343,45 +1214,10 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
           st.cf <- false;
           st.off <- false;
           Fall)
-  | AND, [| Operand.Reg (Operand.Gpr d); Operand.Reg (Operand.Gpr s) |] ->
-      let dc = Operand.gpr_code d and sc = Operand.gpr_code s in
-      some (fun st ->
-          let r =
-            Int64.logand (BA.unsafe_get st.gprs dc)
-              (BA.unsafe_get st.gprs sc)
-          in
-          st.zf <- r = 0L;
-          st.sf <- r < 0L;
-          st.cf <- false;
-          st.off <- false;
-          BA.unsafe_set st.gprs dc r;
-          Fall)
   | AND, [| Operand.Reg (Operand.Gpr d); Operand.Imm b |] ->
       let dc = Operand.gpr_code d in
       some (fun st ->
           let r = Int64.logand (BA.unsafe_get st.gprs dc) b in
-          st.zf <- r = 0L;
-          st.sf <- r < 0L;
-          st.cf <- false;
-          st.off <- false;
-          BA.unsafe_set st.gprs dc r;
-          Fall)
-  | OR, [| Operand.Reg (Operand.Gpr d); Operand.Reg (Operand.Gpr s) |] ->
-      let dc = Operand.gpr_code d and sc = Operand.gpr_code s in
-      some (fun st ->
-          let r =
-            Int64.logor (BA.unsafe_get st.gprs dc) (BA.unsafe_get st.gprs sc)
-          in
-          st.zf <- r = 0L;
-          st.sf <- r < 0L;
-          st.cf <- false;
-          st.off <- false;
-          BA.unsafe_set st.gprs dc r;
-          Fall)
-  | OR, [| Operand.Reg (Operand.Gpr d); Operand.Imm b |] ->
-      let dc = Operand.gpr_code d in
-      some (fun st ->
-          let r = Int64.logor (BA.unsafe_get st.gprs dc) b in
           st.zf <- r = 0L;
           st.sf <- r < 0L;
           st.cf <- false;
@@ -1395,16 +1231,6 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
             Int64.logxor (BA.unsafe_get st.gprs dc)
               (BA.unsafe_get st.gprs sc)
           in
-          st.zf <- r = 0L;
-          st.sf <- r < 0L;
-          st.cf <- false;
-          st.off <- false;
-          BA.unsafe_set st.gprs dc r;
-          Fall)
-  | XOR, [| Operand.Reg (Operand.Gpr d); Operand.Imm b |] ->
-      let dc = Operand.gpr_code d in
-      some (fun st ->
-          let r = Int64.logxor (BA.unsafe_get st.gprs dc) b in
           st.zf <- r = 0L;
           st.sf <- r < 0L;
           st.cf <- false;
@@ -1427,38 +1253,11 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
           st.sf <- r < 0L;
           BA.unsafe_set st.gprs dc r;
           Fall)
-  | NEG, [| Operand.Reg (Operand.Gpr d) |] ->
-      let dc = Operand.gpr_code d in
-      some (fun st ->
-          let v = BA.unsafe_get st.gprs dc in
-          let r = Int64.neg v in
-          st.zf <- r = 0L;
-          st.sf <- r < 0L;
-          st.cf <- v <> 0L;
-          BA.unsafe_set st.gprs dc r;
-          Fall)
-  | NOT, [| Operand.Reg (Operand.Gpr d) |] ->
-      let dc = Operand.gpr_code d in
-      some (fun st ->
-          BA.unsafe_set st.gprs dc
-            (Int64.lognot (BA.unsafe_get st.gprs dc));
-          Fall)
   | IMUL, [| Operand.Reg (Operand.Gpr d); Operand.Reg (Operand.Gpr s) |] ->
       let dc = Operand.gpr_code d and sc = Operand.gpr_code s in
       some (fun st ->
           let r =
             Int64.mul (BA.unsafe_get st.gprs dc) (BA.unsafe_get st.gprs sc)
-          in
-          st.zf <- r = 0L;
-          st.sf <- r < 0L;
-          BA.unsafe_set st.gprs dc r;
-          Fall)
-  | IMUL, [| Operand.Reg (Operand.Gpr d); Operand.Mem m |] ->
-      let dc = Operand.gpr_code d and ea = compile_ea m in
-      some (fun st ->
-          let r =
-            Int64.mul (BA.unsafe_get st.gprs dc)
-              (Memory.read_i64 st.mem (ea st))
           in
           st.zf <- r = 0L;
           st.sf <- r < 0L;
@@ -1473,27 +1272,28 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
           st.sf <- r < 0L;
           BA.unsafe_set st.gprs dc r;
           Fall)
-  | SHR, [| Operand.Reg (Operand.Gpr d); Operand.Imm v |] ->
-      let dc = Operand.gpr_code d in
-      let sh = Int64.to_int v land 63 in
+  | (IDIV | DIV), _ ->
+      let rd0 = compile_rd_int ops.(0) in
+      let rax = Operand.gpr_code Operand.RAX
+      and rdx = Operand.gpr_code Operand.RDX in
       some (fun st ->
-          let r = Int64.shift_right_logical (BA.unsafe_get st.gprs dc) sh in
-          st.zf <- r = 0L;
-          st.sf <- r < 0L;
-          BA.unsafe_set st.gprs dc r;
+          let a = BA.unsafe_get st.gprs rax and b = rd0 st in
+          let q, r =
+            if b = 0L then (0L, 0L)
+            else (Int64.div a b, Int64.rem a b)
+          in
+          BA.unsafe_set st.gprs rax q;
+          BA.unsafe_set st.gprs rdx r;
+          set_zs st q;
           Fall)
-  | SAR, [| Operand.Reg (Operand.Gpr d); Operand.Imm v |] ->
-      let dc = Operand.gpr_code d in
-      let sh = Int64.to_int v land 63 in
+  | CDQE, _ ->
+      let rax = Operand.gpr_code Operand.RAX in
       some (fun st ->
-          let r = Int64.shift_right (BA.unsafe_get st.gprs dc) sh in
-          st.zf <- r = 0L;
-          st.sf <- r < 0L;
-          BA.unsafe_set st.gprs dc r;
+          let v = BA.unsafe_get st.gprs rax in
+          BA.unsafe_set st.gprs rax
+            (Int64.shift_right (Int64.shift_left v 32) 32);
           Fall)
-  (* ---- conditional branches, condition inlined per mnemonic ---- *)
-  | (JZ | JNZ | JLE | JNLE | JL | JNL | JB | JNB | JBE | JNBE | JS | JNS), _
-    -> (
+  | (JZ | JNZ | JLE | JNLE | JB), _ -> (
       match direct_target_of node with
       | None -> None
       | Some tgt -> (
@@ -1506,23 +1306,9 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
           | JNLE ->
               some (fun st ->
                   if (not st.zf) && st.sf = st.off then tk else Fall)
-          | JL -> some (fun st -> if st.sf <> st.off then tk else Fall)
-          | JNL -> some (fun st -> if st.sf = st.off then tk else Fall)
-          | JB -> some (fun st -> if st.cf then tk else Fall)
-          | JNB -> some (fun st -> if st.cf then Fall else tk)
-          | JBE -> some (fun st -> if st.cf || st.zf then tk else Fall)
-          | JNBE ->
-              some (fun st -> if (not st.cf) && not st.zf then tk else Fall)
-          | JS -> some (fun st -> if st.sf then tk else Fall)
-          | _ -> some (fun st -> if st.sf then Fall else tk)))
+          | _ -> some (fun st -> if st.cf then tk else Fall)))
+  | (MFENCE | LFENCE | SFENCE | PAUSE | NOP), _ -> some (fun _ -> Fall)
   (* ---- x87 stack forms, register file inlined ---- *)
-  | FLD, [| Operand.Reg (Operand.St k) |] ->
-      some (fun st ->
-          let v = Array.unsafe_get st.x87 ((st.x87_top + k) land 7) in
-          let top = (st.x87_top - 1) land 7 in
-          st.x87_top <- top;
-          Array.unsafe_set st.x87 top v;
-          Fall)
   | FLD, [| Operand.Mem m |] ->
       let ea = compile_ea m in
       some (fun st ->
@@ -1530,15 +1316,6 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
           let top = (st.x87_top - 1) land 7 in
           st.x87_top <- top;
           Array.unsafe_set st.x87 top v;
-          Fall)
-  | (FST | FSTP), [| Operand.Reg (Operand.St k) |] ->
-      let pops = Mnemonic.equal i.mnemonic FSTP in
-      some (fun st ->
-          let top = st.x87_top in
-          Array.unsafe_set st.x87
-            ((top + k) land 7)
-            (Array.unsafe_get st.x87 top);
-          if pops then st.x87_top <- (top + 1) land 7;
           Fall)
   | (FST | FSTP), [| Operand.Mem m |] ->
       let pops = Mnemonic.equal i.mnemonic FSTP in
@@ -1582,15 +1359,16 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
             | FSUB -> a -. b
             | _ -> a *. b);
           Fall)
+  | FDIV, _ -> (
+      match compile_x87_rhs i with
+      | Some rhs ->
+          some (fun st ->
+              let d = rhs st in
+              State.x87_set st 0
+                (if d = 0.0 then 0.0 else State.x87_get st 0 /. d);
+              Fall)
+      | None -> None)
   (* ---- scalar SSE register forms, lane 0 inlined ---- *)
-  | (MOVSS | MOVSD), [| Operand.Reg (Operand.Xmm d); Operand.Reg (Operand.Xmm s) |]
-    ->
-      some (fun st ->
-          Array.unsafe_set
-            (Array.unsafe_get st.vregs d)
-            0
-            (Array.unsafe_get (Array.unsafe_get st.vregs s) 0);
-          Fall)
   | (MOVSS | MOVSD), [| Operand.Reg (Operand.Xmm d); Operand.Mem m |] ->
       let wide = is_wide i.mnemonic in
       let ea = compile_ea m in
@@ -1609,6 +1387,11 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
           if wide then Memory.write_f64 st.mem (ea st) v
           else Memory.write_f32 st.mem (ea st) v;
           Fall)
+  | (MOVSS | MOVSD | VMOVSS | VMOVSD), _ ->
+      let wide = is_wide i.mnemonic in
+      let rd = compile_rd_fp ~wide ops.(Array.length ops - 1)
+      and wr = compile_wr_fp ~wide ops.(0) in
+      some (fun st -> wr st (rd st); Fall)
   | ( (ADDSS | ADDSD | SUBSS | SUBSD | MULSS | MULSD | DIVSS | DIVSD),
       [| Operand.Reg (Operand.Xmm d); Operand.Reg (Operand.Xmm s) |] ) -> (
       match i.mnemonic with
@@ -1640,40 +1423,30 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
               Array.unsafe_set dv 0
                 (if b = 0.0 then 0.0 else Array.unsafe_get dv 0 /. b);
               Fall))
-  | ( (ADDSS | ADDSD | SUBSS | SUBSD | MULSS | MULSD | DIVSS | DIVSD),
-      [| Operand.Reg (Operand.Xmm d); Operand.Mem m |] ) -> (
-      let wide = is_wide i.mnemonic in
-      let ea = compile_ea m in
-      let rd_mem st a =
-        if wide then Memory.read_f64 st.State.mem a
-        else Memory.read_f32 st.State.mem a
+  | ( ( ADDSS | ADDSD | VADDSS | VADDSD | SUBSS | SUBSD | VSUBSS | MULSS
+      | MULSD | VMULSS | VMULSD | DIVSS | DIVSD | VDIVSS | VDIVSD | MAXSS
+      | MINSS ),
+      _ ) ->
+      let f : float -> float -> float =
+        match i.mnemonic with
+        | ADDSS | ADDSD | VADDSS | VADDSD -> ( +. )
+        | SUBSS | SUBSD | VSUBSS -> ( -. )
+        | MULSS | MULSD | VMULSS | VMULSD -> ( *. )
+        | MAXSS -> Float.max
+        | MINSS -> Float.min
+        | _ -> fun a b -> if b = 0.0 then 0.0 else a /. b
       in
-      match i.mnemonic with
-      | ADDSS | ADDSD ->
-          some (fun st ->
-              let dv = Array.unsafe_get st.vregs d in
-              Array.unsafe_set dv 0
-                (Array.unsafe_get dv 0 +. rd_mem st (ea st));
-              Fall)
-      | SUBSS | SUBSD ->
-          some (fun st ->
-              let dv = Array.unsafe_get st.vregs d in
-              Array.unsafe_set dv 0
-                (Array.unsafe_get dv 0 -. rd_mem st (ea st));
-              Fall)
-      | MULSS | MULSD ->
-          some (fun st ->
-              let dv = Array.unsafe_get st.vregs d in
-              Array.unsafe_set dv 0
-                (Array.unsafe_get dv 0 *. rd_mem st (ea st));
-              Fall)
-      | _ ->
-          some (fun st ->
-              let dv = Array.unsafe_get st.vregs d in
-              let b = rd_mem st (ea st) in
-              Array.unsafe_set dv 0
-                (if b = 0.0 then 0.0 else Array.unsafe_get dv 0 /. b);
-              Fall))
+      let wide = is_wide i.mnemonic in
+      let three = Array.length ops >= 3 in
+      let rda = compile_rd_fp ~wide ops.(if three then 1 else 0)
+      and rdb = compile_rd_fp ~wide ops.(if three then 2 else 1)
+      and wr = compile_wr_fp ~wide ops.(0) in
+      some (fun st -> wr st (f (rda st) (rdb st)); Fall)
+  | (SQRTSS | SQRTSD | VSQRTSD), _ ->
+      let wide = is_wide i.mnemonic in
+      let rd = compile_rd_fp ~wide ops.(Array.length ops - 1)
+      and wr = compile_wr_fp ~wide ops.(0) in
+      some (fun st -> wr st (sqrt (Float.abs (rd st))); Fall)
   | ( (COMISS | COMISD | UCOMISS | UCOMISD),
       [| Operand.Reg (Operand.Xmm x); Operand.Reg (Operand.Xmm y) |] ) ->
       some (fun st ->
@@ -1684,6 +1457,22 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
           st.sf <- false;
           st.off <- false;
           Fall)
+  | (COMISS | COMISD | UCOMISS | UCOMISD | VUCOMISD | VCOMISS), _ ->
+      let wide = is_wide i.mnemonic in
+      let rda = compile_rd_fp ~wide ops.(0)
+      and rdb = compile_rd_fp ~wide ops.(1) in
+      some (fun st ->
+          let a = rda st and b = rdb st in
+          st.zf <- a = b;
+          st.cf <- a < b;
+          st.sf <- false;
+          st.off <- false;
+          Fall)
+  | (CVTSI2SS | CVTSI2SD | VCVTSI2SD), _ ->
+      let wide = is_wide i.mnemonic in
+      let rd = compile_rd_int ops.(Array.length ops - 1)
+      and wr = compile_wr_fp ~wide ops.(0) in
+      some (fun st -> wr st (Int64.to_float (rd st)); Fall)
   | FCHS, [||] ->
       some (fun st ->
           let top = st.x87_top in
@@ -1725,478 +1514,45 @@ let compile_flat (node : Exec_graph.node) : (State.t -> control) option =
             Array.unsafe_set dv k v
           done;
           Fall)
-  | _ -> None
-
-(* The specializing compiler proper.  Returns [None] for anything whose
-   execution should go through [step] (rare forms, cross-lane shuffles,
-   malformed operand lists).  Flat hot-form kernels take precedence;
-   the composed forms cover the remaining shapes. *)
-let compile_specialized (node : Exec_graph.node) : (State.t -> control) option
-    =
-  match compile_flat node with
-  | Some _ as k -> k
-  | None ->
-  let i = node.instr in
-  let ops = i.operands in
-  let next_addr = node.addr + node.len in
-  (* Direct branch target, resolved like [branch_target] but at compile
-     time; [None] when there is no Rel operand (register/memory forms
-     keep their dynamic resolution). *)
-  let direct_target =
-    match node.target with
-    | Some t -> Some t.Exec_graph.addr
-    | None -> (
-        match Instruction.rel_displacement i with
-        | Some disp -> Some (next_addr + disp)
-        | None -> None)
-  in
-  match i.mnemonic with
-  (* ---- data transfer ---- *)
-  | MOV ->
-      let rd = compile_rd_int ops.(1) and wr = compile_wr_int ops.(0) in
-      some (fun st -> wr st (rd st); Fall)
-  | MOVZX ->
-      let rd = compile_rd_int ops.(1) and wr = compile_wr_int ops.(0) in
-      some (fun st -> wr st (Int64.logand (rd st) 0xFFFFL); Fall)
-  | MOVSX ->
-      let rd = compile_rd_int ops.(1) and wr = compile_wr_int ops.(0) in
-      some (fun st ->
-          wr st (Int64.shift_right (Int64.shift_left (rd st) 48) 48);
-          Fall)
-  | MOVSXD ->
-      let rd = compile_rd_int ops.(1) and wr = compile_wr_int ops.(0) in
-      some (fun st ->
-          wr st (Int64.shift_right (Int64.shift_left (rd st) 32) 32);
-          Fall)
-  | LEA -> (
-      match ops.(1) with
-      | Operand.Mem m ->
-          let ea = compile_ea m and wr = compile_wr_int ops.(0) in
-          some (fun st -> wr st (Int64.of_int (ea st)); Fall)
-      | Operand.Reg _ | Operand.Imm _ | Operand.Rel _ -> None)
-  | CMOVZ | CMOVNZ ->
-      let m = i.mnemonic in
-      let rd = compile_rd_int ops.(1) and wr = compile_wr_int ops.(0) in
-      some (fun st -> (if condition st m then wr st (rd st)); Fall)
-  | SETZ | SETNZ | SETLE ->
-      let m = i.mnemonic in
-      let wr = compile_wr_int ops.(0) in
-      some (fun st -> wr st (if condition st m then 1L else 0L); Fall)
-  | PUSH ->
-      let rd = compile_rd_int ops.(0) in
-      some (fun st -> push st (rd st); Fall)
-  | POP ->
-      let wr = compile_wr_int ops.(0) in
-      some (fun st -> wr st (pop st); Fall)
-  (* ---- integer arithmetic ---- *)
-  | ADD ->
-      let rd0 = compile_rd_int ops.(0)
-      and rd1 = compile_rd_int ops.(1)
-      and wr0 = compile_wr_int ops.(0) in
-      some (fun st ->
-          let a = rd0 st and b = rd1 st in
-          let r = Int64.add a b in
-          set_add_flags st a b r;
-          wr0 st r;
-          Fall)
-  | ADC ->
-      let rd0 = compile_rd_int ops.(0)
-      and rd1 = compile_rd_int ops.(1)
-      and wr0 = compile_wr_int ops.(0) in
-      some (fun st ->
-          let a = rd0 st and b = rd1 st in
-          let c = if st.cf then 1L else 0L in
-          let r = Int64.add (Int64.add a b) c in
-          set_add_flags st a b r;
-          wr0 st r;
-          Fall)
-  | SUB ->
-      let rd0 = compile_rd_int ops.(0)
-      and rd1 = compile_rd_int ops.(1)
-      and wr0 = compile_wr_int ops.(0) in
-      some (fun st ->
-          let a = rd0 st and b = rd1 st in
-          let r = Int64.sub a b in
-          set_sub_flags st a b r;
-          wr0 st r;
-          Fall)
-  | SBB ->
-      let rd0 = compile_rd_int ops.(0)
-      and rd1 = compile_rd_int ops.(1)
-      and wr0 = compile_wr_int ops.(0) in
-      some (fun st ->
-          let a = rd0 st and b = rd1 st in
-          let c = if st.cf then 1L else 0L in
-          let r = Int64.sub (Int64.sub a b) c in
-          set_sub_flags st a b r;
-          wr0 st r;
-          Fall)
-  | INC ->
-      let rd0 = compile_rd_int ops.(0) and wr0 = compile_wr_int ops.(0) in
-      some (fun st ->
-          let r = Int64.add (rd0 st) 1L in
-          set_zs st r;
-          wr0 st r;
-          Fall)
-  | DEC ->
-      let rd0 = compile_rd_int ops.(0) and wr0 = compile_wr_int ops.(0) in
-      some (fun st ->
-          let r = Int64.sub (rd0 st) 1L in
-          set_zs st r;
-          wr0 st r;
-          Fall)
-  | NEG ->
-      let rd0 = compile_rd_int ops.(0) and wr0 = compile_wr_int ops.(0) in
-      some (fun st ->
-          let v = rd0 st in
-          let r = Int64.neg v in
-          set_zs st r;
-          st.cf <- v <> 0L;
-          wr0 st r;
-          Fall)
-  | IMUL ->
-      let rd0 = compile_rd_int ops.(0)
-      and rd1 = compile_rd_int ops.(1)
-      and wr0 = compile_wr_int ops.(0) in
-      some (fun st ->
-          let r = Int64.mul (rd0 st) (rd1 st) in
-          set_zs st r;
-          wr0 st r;
-          Fall)
-  | MUL ->
-      let rd0 = compile_rd_int ops.(0) in
-      let rax = Operand.gpr_code Operand.RAX
-      and rdx = Operand.gpr_code Operand.RDX in
-      some (fun st ->
-          let r = Int64.mul (Bigarray.Array1.unsafe_get st.gprs rax) (rd0 st) in
-          set_zs st r;
-          Bigarray.Array1.unsafe_set st.gprs rax r;
-          Bigarray.Array1.unsafe_set st.gprs rdx 0L;
-          Fall)
-  | IDIV | DIV ->
-      let rd0 = compile_rd_int ops.(0) in
-      let rax = Operand.gpr_code Operand.RAX
-      and rdx = Operand.gpr_code Operand.RDX in
-      some (fun st ->
-          let a = Bigarray.Array1.unsafe_get st.gprs rax and b = rd0 st in
-          let q, r =
-            if b = 0L then (0L, 0L)
-            else (Int64.div a b, Int64.rem a b)
-          in
-          Bigarray.Array1.unsafe_set st.gprs rax q;
-          Bigarray.Array1.unsafe_set st.gprs rdx r;
-          set_zs st q;
-          Fall)
-  | CDQ ->
-      let rax = Operand.gpr_code Operand.RAX
-      and rdx = Operand.gpr_code Operand.RDX in
-      some (fun st ->
-          Bigarray.Array1.unsafe_set st.gprs rdx
-            (if Bigarray.Array1.unsafe_get st.gprs rax < 0L then -1L
-             else 0L);
-          Fall)
-  | CDQE ->
-      let rax = Operand.gpr_code Operand.RAX in
-      some (fun st ->
-          let v = Bigarray.Array1.unsafe_get st.gprs rax in
-          Bigarray.Array1.unsafe_set st.gprs rax
-            (Int64.shift_right (Int64.shift_left v 32) 32);
-          Fall)
-  (* ---- logic / compare / shift ---- *)
-  | AND ->
-      let rd0 = compile_rd_int ops.(0)
-      and rd1 = compile_rd_int ops.(1)
-      and wr0 = compile_wr_int ops.(0) in
-      some (fun st ->
-          let r = Int64.logand (rd0 st) (rd1 st) in
-          set_logic_flags st r;
-          wr0 st r;
-          Fall)
-  | OR ->
-      let rd0 = compile_rd_int ops.(0)
-      and rd1 = compile_rd_int ops.(1)
-      and wr0 = compile_wr_int ops.(0) in
-      some (fun st ->
-          let r = Int64.logor (rd0 st) (rd1 st) in
-          set_logic_flags st r;
-          wr0 st r;
-          Fall)
-  | XOR ->
-      let rd0 = compile_rd_int ops.(0)
-      and rd1 = compile_rd_int ops.(1)
-      and wr0 = compile_wr_int ops.(0) in
-      some (fun st ->
-          let r = Int64.logxor (rd0 st) (rd1 st) in
-          set_logic_flags st r;
-          wr0 st r;
-          Fall)
-  | NOT ->
-      let rd0 = compile_rd_int ops.(0) and wr0 = compile_wr_int ops.(0) in
-      some (fun st -> wr0 st (Int64.lognot (rd0 st)); Fall)
-  | TEST ->
-      let rd0 = compile_rd_int ops.(0) and rd1 = compile_rd_int ops.(1) in
-      some (fun st ->
-          set_logic_flags st (Int64.logand (rd0 st) (rd1 st));
-          Fall)
-  | CMP ->
-      let rd0 = compile_rd_int ops.(0) and rd1 = compile_rd_int ops.(1) in
-      some (fun st ->
-          let a = rd0 st and b = rd1 st in
-          set_sub_flags st a b (Int64.sub a b);
-          Fall)
-  | SHL ->
-      let rd0 = compile_rd_int ops.(0)
-      and rd1 = compile_rd_int ops.(1)
-      and wr0 = compile_wr_int ops.(0) in
-      some (fun st ->
-          let sh = Int64.to_int (rd1 st) land 63 in
-          let r = Int64.shift_left (rd0 st) sh in
-          set_zs st r;
-          wr0 st r;
-          Fall)
-  | SHR ->
-      let rd0 = compile_rd_int ops.(0)
-      and rd1 = compile_rd_int ops.(1)
-      and wr0 = compile_wr_int ops.(0) in
-      some (fun st ->
-          let sh = Int64.to_int (rd1 st) land 63 in
-          let r = Int64.shift_right_logical (rd0 st) sh in
-          set_zs st r;
-          wr0 st r;
-          Fall)
-  | SAR ->
-      let rd0 = compile_rd_int ops.(0)
-      and rd1 = compile_rd_int ops.(1)
-      and wr0 = compile_wr_int ops.(0) in
-      some (fun st ->
-          let sh = Int64.to_int (rd1 st) land 63 in
-          let r = Int64.shift_right (rd0 st) sh in
-          set_zs st r;
-          wr0 st r;
-          Fall)
-  (* ---- control flow ---- *)
-  | JMP -> (
-      match ops.(0) with
-      | Operand.Rel _ -> (
-          match direct_target with
-          | Some tgt ->
-              let tk = Taken tgt in
-              some (fun _ -> tk)
-          | None -> None)
-      | (Operand.Reg _ | Operand.Mem _) as op ->
-          let rd = compile_rd_int op in
-          some (fun st -> Taken (Int64.to_int (rd st)))
-      | Operand.Imm v ->
-          let tk = Taken (Int64.to_int v) in
-          some (fun _ -> tk))
-  | (JZ | JNZ | JLE | JNLE | JL | JNL | JB | JNB | JBE | JNBE | JS | JNS) as m
-    -> (
-      match direct_target with
-      | Some tgt ->
-          let tk = Taken tgt in
-          some (fun st -> if condition st m then tk else Fall)
-      | None -> None)
-  | CALL_NEAR -> (
-      let ra = Int64.of_int next_addr in
-      match ops.(0) with
-      | Operand.Rel _ -> (
-          match direct_target with
-          | Some tgt ->
-              let tk = Taken tgt in
-              some (fun st -> push st ra; tk)
-          | None -> None)
-      | (Operand.Reg _ | Operand.Mem _) as op ->
-          let rd = compile_rd_int op in
-          some (fun st ->
-              push st ra;
-              Taken (Int64.to_int (rd st)))
-      | Operand.Imm v ->
-          let tk = Taken (Int64.to_int v) in
-          some (fun st -> push st ra; tk))
-  | RET_NEAR -> some (fun st -> Taken (Int64.to_int (pop st)))
-  | SYSCALL ->
-      let c = Syscall_enter next_addr in
-      some (fun _ -> c)
-  | SYSRET ->
-      let rcx = Operand.gpr_code Operand.RCX in
-      some (fun st -> Sysret_exit (Int64.to_int (Bigarray.Array1.unsafe_get st.gprs rcx)))
-  | HLT -> some (fun _ -> Halt)
-  (* ---- no-ops ---- *)
-  | MFENCE | LFENCE | SFENCE | PAUSE | NOP -> some (fun _ -> Fall)
-  (* ---- x87 ---- *)
-  | FLD -> (
-      match ops.(0) with
-      | Operand.Reg (Operand.St k) ->
-          some (fun st -> State.x87_push st (State.x87_get st k); Fall)
-      | Operand.Mem m ->
-          let ea = compile_ea m in
-          some (fun st ->
-              State.x87_push st (Memory.read_f64 st.mem (ea st));
-              Fall)
-      | Operand.Reg _ | Operand.Imm _ | Operand.Rel _ -> None)
-  | FST | FSTP -> (
-      let pops = Mnemonic.equal i.mnemonic FSTP in
-      match ops.(0) with
-      | Operand.Reg (Operand.St k) ->
-          some (fun st ->
-              State.x87_set st k (State.x87_get st 0);
-              if pops then ignore (State.x87_pop st);
-              Fall)
-      | Operand.Mem m ->
-          let ea = compile_ea m in
-          some (fun st ->
-              Memory.write_f64 st.mem (ea st) (State.x87_get st 0);
-              if pops then ignore (State.x87_pop st);
-              Fall)
-      | Operand.Reg _ | Operand.Imm _ | Operand.Rel _ -> None)
-  | FXCH -> (
-      match ops.(0) with
-      | Operand.Reg (Operand.St k) ->
-          some (fun st ->
-              let a = State.x87_get st 0 and b = State.x87_get st k in
-              State.x87_set st 0 b;
-              State.x87_set st k a;
-              Fall)
-      | Operand.Reg _ | Operand.Imm _ | Operand.Mem _ | Operand.Rel _ -> None)
-  | FADD -> (
-      match compile_x87_rhs i with
-      | Some rhs ->
-          some (fun st -> State.x87_set st 0 (State.x87_get st 0 +. rhs st); Fall)
-      | None -> None)
-  | FSUB -> (
-      match compile_x87_rhs i with
-      | Some rhs ->
-          some (fun st -> State.x87_set st 0 (State.x87_get st 0 -. rhs st); Fall)
-      | None -> None)
-  | FMUL -> (
-      match compile_x87_rhs i with
-      | Some rhs ->
-          some (fun st -> State.x87_set st 0 (State.x87_get st 0 *. rhs st); Fall)
-      | None -> None)
-  | FDIV -> (
-      match compile_x87_rhs i with
-      | Some rhs ->
-          some (fun st ->
-              let d = rhs st in
-              State.x87_set st 0
-                (if d = 0.0 then 0.0 else State.x87_get st 0 /. d);
-              Fall)
-      | None -> None)
-  (* ---- scalar SSE/AVX fp ---- *)
-  | MOVSS | MOVSD | VMOVSS | VMOVSD ->
-      let wide = is_wide i.mnemonic in
-      let rd = compile_rd_fp ~wide ops.(Array.length ops - 1)
-      and wr = compile_wr_fp ~wide ops.(0) in
-      some (fun st -> wr st (rd st); Fall)
-  | ADDSS | ADDSD | VADDSS | VADDSD | SUBSS | SUBSD | VSUBSS | MULSS | MULSD
-  | VMULSS | VMULSD | DIVSS | DIVSD | VDIVSS | VDIVSD | MAXSS | MINSS ->
-      let f : float -> float -> float =
-        match i.mnemonic with
-        | ADDSS | ADDSD | VADDSS | VADDSD -> ( +. )
-        | SUBSS | SUBSD | VSUBSS -> ( -. )
-        | MULSS | MULSD | VMULSS | VMULSD -> ( *. )
-        | MAXSS -> Float.max
-        | MINSS -> Float.min
-        | _ -> fun a b -> if b = 0.0 then 0.0 else a /. b
-      in
-      let wide = is_wide i.mnemonic in
-      let three = Array.length ops >= 3 in
-      let rda = compile_rd_fp ~wide ops.(if three then 1 else 0)
-      and rdb = compile_rd_fp ~wide ops.(if three then 2 else 1)
-      and wr = compile_wr_fp ~wide ops.(0) in
-      some (fun st -> wr st (f (rda st) (rdb st)); Fall)
-  | SQRTSS | SQRTSD | VSQRTSD ->
-      let wide = is_wide i.mnemonic in
-      let rd = compile_rd_fp ~wide ops.(Array.length ops - 1)
-      and wr = compile_wr_fp ~wide ops.(0) in
-      some (fun st -> wr st (sqrt (Float.abs (rd st))); Fall)
-  | COMISS | COMISD | UCOMISS | UCOMISD | VUCOMISD | VCOMISS ->
-      let wide = is_wide i.mnemonic in
-      let rda = compile_rd_fp ~wide ops.(0)
-      and rdb = compile_rd_fp ~wide ops.(1) in
-      some (fun st ->
-          let a = rda st and b = rdb st in
-          st.zf <- a = b;
-          st.cf <- a < b;
-          st.sf <- false;
-          st.off <- false;
-          Fall)
-  | CVTSI2SS | CVTSI2SD | VCVTSI2SD ->
-      let wide = is_wide i.mnemonic in
-      let rd = compile_rd_int ops.(Array.length ops - 1)
-      and wr = compile_wr_fp ~wide ops.(0) in
-      some (fun st -> wr st (Int64.to_float (rd st)); Fall)
-  | CVTSD2SI | CVTSS2SI | VCVTSD2SI ->
-      let wide = is_wide i.mnemonic in
-      let rd = compile_rd_fp ~wide ops.(1) and wr = compile_wr_int ops.(0) in
-      some (fun st -> wr st (Int64.of_float (Float.round (rd st))); Fall)
-  | CVTTSD2SI ->
-      let rd = compile_rd_fp ~wide:true ops.(1)
-      and wr = compile_wr_int ops.(0) in
-      some (fun st -> wr st (Int64.of_float (Float.trunc (rd st))); Fall)
-  | CVTSS2SD ->
-      let rd = compile_rd_fp ~wide:false ops.(1)
-      and wr = compile_wr_fp ~wide:true ops.(0) in
-      some (fun st -> wr st (rd st); Fall)
-  | CVTSD2SS ->
-      let rd = compile_rd_fp ~wide:true ops.(1)
-      and wr = compile_wr_fp ~wide:false ops.(0) in
-      some (fun st -> wr st (rd st); Fall)
-  (* ---- vector moves ---- *)
-  | MOVAPS | MOVUPS | MOVAPD | MOVUPD | MOVDQA | MOVDQU
-  | VMOVAPS | VMOVUPS | VMOVAPD | VMOVUPD ->
+  (* ---- packed SSE/AVX ---- *)
+  | ( ( MOVAPS | MOVUPS | MOVAPD | MOVUPD | MOVDQA | MOVDQU | VMOVAPS | VMOVUPS
+      | VMOVAPD | VMOVUPD ),
+      _ ) ->
       compile_vec_mov node
-  (* ---- packed arithmetic / logic / integer ---- *)
-  | ADDPS | ADDPD | VADDPS | VADDPD | PADDD | PADDQ | VPADDD ->
+  | (ADDPS | ADDPD | VADDPS | VADDPD | PADDD | PADDQ | VPADDD), _ ->
       compile_vec_binop node ( +. )
-  | SUBPS | SUBPD | VSUBPS | VSUBPD | PSUBD -> compile_vec_binop node ( -. )
-  | MULPS | MULPD | VMULPS | VMULPD | PMULLD | VPMULLD ->
+  | (SUBPS | SUBPD | VSUBPS | VSUBPD | PSUBD), _ ->
+      compile_vec_binop node ( -. )
+  | (MULPS | MULPD | VMULPS | VMULPD | PMULLD | VPMULLD), _ ->
       compile_vec_binop node ( *. )
-  | DIVPS | DIVPD | VDIVPS | VDIVPD ->
+  | (DIVPS | DIVPD | VDIVPS | VDIVPD), _ ->
       compile_vec_binop node (fun a b -> if b = 0.0 then 0.0 else a /. b)
-  | SQRTPS | SQRTPD | VSQRTPS | VSQRTPD ->
+  | (SQRTPS | SQRTPD | VSQRTPS | VSQRTPD), _ ->
       compile_vec_unop node (fun v -> sqrt (Float.abs v))
-  | MAXPS | VMAXPS -> compile_vec_binop node Float.max
-  | MINPS | VMINPS -> compile_vec_binop node Float.min
-  | CMPPS -> compile_vec_binop node (fun a b -> if a < b then 1.0 else 0.0)
-  | PCMPEQD -> compile_vec_binop node (fun a b -> if a = b then 1.0 else 0.0)
-  | ANDPS | ANDPD | PAND | VANDPS | VPAND ->
-      compile_vec_binop node (bits32 Int32.logand)
-  | ORPS | POR -> compile_vec_binop node (bits32 Int32.logor)
-  | XORPS | XORPD | PXOR | VXORPS | VXORPD | VPXOR ->
+  | (XORPS | XORPD | PXOR | VXORPS | VXORPD | VPXOR), _ ->
       compile_vec_binop node (bits32 Int32.logxor)
-  (* ---- FMA ---- *)
-  | VFMADD213PS | VFMADD213PD -> (
+  | ( (VFMADD213PS | VFMADD213PD),
+      [| Operand.Reg (Operand.Xmm d | Operand.Ymm d);
+         Operand.Reg (Operand.Xmm a | Operand.Ymm a);
+         Operand.Reg (Operand.Xmm b | Operand.Ymm b) |] ) ->
       let lanes = lanes_of i in
-      match ops with
-      | [| Operand.Reg (Operand.Xmm d | Operand.Ymm d);
-           Operand.Reg (Operand.Xmm a | Operand.Ymm a);
-           Operand.Reg (Operand.Xmm b | Operand.Ymm b) |] ->
-          some (fun (st : State.t) ->
-              let dv = Array.unsafe_get st.vregs d
-              and av = Array.unsafe_get st.vregs a
-              and bv = Array.unsafe_get st.vregs b in
-              for k = 0 to lanes - 1 do
-                Array.unsafe_set dv k
-                  ((Array.unsafe_get av k *. Array.unsafe_get dv k)
-                  +. Array.unsafe_get bv k)
-              done;
-              Fall)
-      | _ -> None)
-  | VFMADD231SS | VFMADD231SD ->
-      let wide = is_wide i.mnemonic in
-      let rdd = compile_rd_fp ~wide ops.(0)
-      and rda = compile_rd_fp ~wide ops.(1)
-      and rdb = compile_rd_fp ~wide ops.(2)
-      and wr = compile_wr_fp ~wide ops.(0) in
-      some (fun st -> wr st ((rda st *. rdb st) +. rdd st); Fall)
-  (* Everything else (shuffles, broadcasts, gathers, sync RMW, system,
-     transcendentals, rare x87 forms) executes through [step]. *)
+      some (fun st ->
+          let dv = Array.unsafe_get st.vregs d
+          and av = Array.unsafe_get st.vregs a
+          and bv = Array.unsafe_get st.vregs b in
+          for k = 0 to lanes - 1 do
+            Array.unsafe_set dv k
+              ((Array.unsafe_get av k *. Array.unsafe_get dv k)
+              +. Array.unsafe_get bv k)
+          done;
+          Fall)
+  (* Everything else (rare forms, shuffles, gathers, sync RMW, system,
+     transcendentals) executes through [step]. *)
   | _ -> None
 
 type kernel = State.t -> control
 
 let compile (node : Exec_graph.node) : kernel =
-  match compile_specialized node with
+  match specialize node with
   | Some k -> k
   | None | (exception _) -> fun st -> step st node

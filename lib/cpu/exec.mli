@@ -33,9 +33,3 @@ type kernel = State.t -> control
     specialization (rare forms, cross-lane shuffles) get a [step]
     thunk, so compiling never changes behaviour, only cost. *)
 val compile : Exec_graph.node -> kernel
-
-(** [compile_specialized node] is the specializer behind {!compile}:
-    [None] means the node would run through the [step] fallback.
-    Exposed so tests and benchmarks can measure specialization
-    coverage on real workloads. *)
-val compile_specialized : Exec_graph.node -> kernel option

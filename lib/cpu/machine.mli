@@ -36,39 +36,31 @@ exception Runaway of int
 
 exception Machine_fault of string
 
-(** How [run] drives the execution graph.  All engines retire
+(** How [run] drives the execution graph.  Both engines retire
     bit-identical streams — same {!run_stats}, same observer
     notifications, same faults — and differ only in dispatch cost:
 
-    - [Legacy]: the seed per-instruction loop; the differential-testing
-      reference.
-    - [Block]: per basic block, one cached closure of pre-compiled
-      instruction kernels executes the whole block straight-line; the
-      dense block cache is consulted at every block boundary.
-    - [Superblock]: additionally chains direct fall-through/taken
-      successors through pointers patched on first traversal, so
-      steady-state execution re-enters the dispatcher only when an
-      indirect target (RET, indirect JMP/CALL) changes destination. *)
-type engine = Legacy | Block | Superblock
+    - [Legacy]: the seed per-instruction loop over {!Exec.step}; the
+      differential-testing reference.
+    - [Superblock]: per basic block, one cached closure of compiled
+      instruction kernels ({!Exec.compile}) executes the whole block
+      straight-line; direct fall-through/taken successors are chained
+      through pointers patched on first traversal, so steady-state
+      execution re-enters the dispatcher only when an indirect target
+      (RET, indirect JMP/CALL) changes destination. *)
+type engine = Legacy | Superblock
 
 val engine_name : engine -> string
-val engine_of_string : string -> engine option
-val all_engines : engine list
-
-(** [Superblock] unless the [HBBP_ENGINE] environment variable names
-    another engine (unknown values are ignored). *)
-val default_engine : unit -> engine
 
 type t
 
 (** [create ~process ()] builds the execution graph from the process's
     {e live} images.  [seed] feeds workload-visible randomness;
-    [engine] defaults to {!default_engine}. *)
+    [engine] defaults to [Superblock]. *)
 val create : process:Process.t -> ?seed:int64 -> ?engine:engine -> unit -> t
 
 val state : t -> State.t
 val process : t -> Process.t
-val engine : t -> engine
 
 (** O(1); the observer set is frozen when [run] starts. *)
 val add_observer : t -> observer -> unit

@@ -1,6 +1,6 @@
-(* Differential tests for the tiered executor: every engine (legacy
-   per-instruction loop, cached block closures, chained superblocks)
-   must retire a bit-identical stream.  Identity is checked at four
+(* Differential tests for the tiered executor: the superblock engine
+   (chained closures of compiled kernels) must retire a stream
+   bit-identical to the legacy per-instruction loop over [Exec.step].  Identity is checked at four
    depths — run statistics, the full observer-visible retirement
    stream (hashed), PMU sample archives byte for byte, and fused
    pipeline reconstructions — over the bundled registry workloads,
@@ -8,7 +8,7 @@
 
    The legacy reference itself is pinned by committed digests (the
    [pinned_*] tables below), so a change to [Exec.step] or the timing
-   model that moves every engine together still fails.  On a mismatch
+   model that moves both engines together still fails.  On a mismatch
    the failure lists every moved digest in table syntax; an intended
    semantic change updates the tables from that output. *)
 
@@ -16,7 +16,7 @@ open Hbbp_cpu
 open Hbbp_core
 
 let checkb = Alcotest.(check bool)
-let engines = Machine.all_engines
+let engines = [ Machine.Superblock ]
 
 (* ------------------------------------------------------------------ *)
 (* Harness: run one engine, observer-armed, folding every field the
