@@ -1368,7 +1368,7 @@ let specialize (node : Exec_graph.node) : (State.t -> control) option =
                 (if d = 0.0 then 0.0 else State.x87_get st 0 /. d);
               Fall)
       | None -> None)
-  (* ---- scalar SSE register forms, lane 0 inlined ---- *)
+  (* ---- scalar SSE/AVX; the flat forms inline lane 0 ---- *)
   | (MOVSS | MOVSD), [| Operand.Reg (Operand.Xmm d); Operand.Mem m |] ->
       let wide = is_wide i.mnemonic in
       let ea = compile_ea m in

@@ -29,7 +29,8 @@ type kernel = State.t -> control
 
 (** [compile node] specializes [node] into a {!kernel} computing exactly
     the state transition of [step state node] — same values, same
-    evaluation order, same faults.  Instructions without a
-    specialization (rare forms, cross-lane shuffles) get a [step]
-    thunk, so compiling never changes behaviour, only cost. *)
+    evaluation order, same faults.  The compile table specializes only
+    shapes that retire in the bundled workloads; every other
+    instruction gets a [step] thunk, so compiling never changes
+    behaviour, only cost. *)
 val compile : Exec_graph.node -> kernel

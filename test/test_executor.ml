@@ -1,10 +1,11 @@
 (* Differential tests for the tiered executor: the superblock engine
    (chained closures of compiled kernels) must retire a stream
-   bit-identical to the legacy per-instruction loop over [Exec.step].  Identity is checked at four
-   depths — run statistics, the full observer-visible retirement
-   stream (hashed), PMU sample archives byte for byte, and fused
-   pipeline reconstructions — over the bundled registry workloads,
-   tight-budget Runaway runs and seeded random synthetic programs.
+   bit-identical to the legacy per-instruction loop over [Exec.step].
+   Identity is checked at four depths — run statistics, the full
+   observer-visible retirement stream (hashed), PMU sample archives
+   byte for byte, and fused pipeline reconstructions — over the
+   bundled registry workloads, tight-budget Runaway runs and seeded
+   random synthetic programs.
 
    The legacy reference itself is pinned by committed digests (the
    [pinned_*] tables below), so a change to [Exec.step] or the timing
