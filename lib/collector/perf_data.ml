@@ -44,13 +44,19 @@ let analysis_process t =
 (* ------------------------------------------------------------------ *)
 (* Binary format                                                       *)
 
-type error = Bad_magic | Bad_version of int | Truncated | Corrupt of string
+type error =
+  | Bad_magic
+  | Bad_version of int
+  | Truncated
+  | Corrupt of string
+  | Unreadable of string
 
 let pp_error ppf = function
   | Bad_magic -> Format.pp_print_string ppf "bad magic"
   | Bad_version v -> Format.fprintf ppf "unsupported version %d" v
   | Truncated -> Format.pp_print_string ppf "truncated archive"
   | Corrupt what -> Format.fprintf ppf "corrupt archive: %s" what
+  | Unreadable why -> Format.pp_print_string ppf why
 
 type section = Header | Images | Kernel_text | Records
 
@@ -331,7 +337,7 @@ let r_records_salvage c ~expected =
 let records_fault ~expected ~salvaged = function
   | Truncated -> Truncated_records { expected; salvaged }
   | Corrupt reason -> Corrupt_records { index = salvaged; reason; salvaged }
-  | Bad_magic | Bad_version _ ->
+  | Bad_magic | Bad_version _ | Unreadable _ ->
       Corrupt_records { index = salvaged; reason = "malformed"; salvaged }
 
 (* -- v1 reader: metadata errors are fatal, the trailing record list is
@@ -520,6 +526,16 @@ let save_sharded ?version t ~shards ~path =
 
 (* ------------------------------------------------------------------ *)
 (* Chunked streaming reader                                            *)
+
+(* An I/O failure as a typed error.  [Sys_error] from opening names the
+   file; keep only the reason, since callers prefix the path. *)
+let unreadable path msg =
+  let prefix = path ^ ": " in
+  Unreadable
+    (if String.starts_with ~prefix msg then
+       String.sub msg (String.length prefix)
+         (String.length msg - String.length prefix)
+     else msg)
 
 module Stream = struct
   let default_chunk_records = 4096
@@ -782,51 +798,69 @@ module Stream = struct
   let open_file ?(chunk_records = default_chunk_records) path =
     if chunk_records < 1 then
       invalid_arg "Perf_data.Stream.open_file: chunk_records < 1";
-    let ic = open_in_bin path in
-    match
-      let total = in_channel_length ic in
-      if total < String.length magic then raise (Parse Truncated);
-      let m = read_exactly ic (String.length magic) in
-      if not (String.equal (Bytes.to_string m) magic) then
-        raise (Parse Bad_magic);
-      if total < String.length magic + 1 then raise (Parse Truncated);
-      match input_byte ic with
-      | 1 ->
-          (* v1 has no section structure to stream: fall back to the
-             batch reader and chunk the materialized list.  Memory
-             bounding is a v2-only property. *)
-          let rest = read_exactly ic (total - pos_in ic) in
-          let { archive; ledger } =
-            of_bytes_v1 { data = rest; pos = 0; limit = Bytes.length rest }
-          in
-          {
-            meta = { archive with records = [] };
-            chunk_records;
-            s_ledger = Some ledger;
-            source = Buffered (ref archive.records);
-          }
-      | 2 -> open_v2 ic ~total ~chunk_records
-      | v -> raise (Parse (Bad_version v))
-    with
-    | s -> Ok s
-    | exception Parse e ->
-        close_in_noerr ic;
-        Error e
-    | exception End_of_file ->
-        close_in_noerr ic;
-        Error Truncated
+    match open_in_bin path with
+    | exception Sys_error msg -> Error (unreadable path msg)
+    | ic -> (
+        match
+          let total = in_channel_length ic in
+          if total < String.length magic then raise (Parse Truncated);
+          let m = read_exactly ic (String.length magic) in
+          if not (String.equal (Bytes.to_string m) magic) then
+            raise (Parse Bad_magic);
+          if total < String.length magic + 1 then raise (Parse Truncated);
+          match input_byte ic with
+          | 1 ->
+              (* v1 has no section structure to stream: fall back to the
+                 batch reader and chunk the materialized list.  Memory
+                 bounding is a v2-only property. *)
+              let rest = read_exactly ic (total - pos_in ic) in
+              let { archive; ledger } =
+                of_bytes_v1 { data = rest; pos = 0; limit = Bytes.length rest }
+              in
+              {
+                meta = { archive with records = [] };
+                chunk_records;
+                s_ledger = Some ledger;
+                source = Buffered (ref archive.records);
+              }
+          | 2 -> open_v2 ic ~total ~chunk_records
+          | v -> raise (Parse (Bad_version v))
+        with
+        | s -> Ok s
+        | exception Parse e ->
+            close_in_noerr ic;
+            Error e
+        | exception End_of_file ->
+            close_in_noerr ic;
+            Error Truncated
+        | exception Sys_error msg ->
+            close_in_noerr ic;
+            Error (unreadable path msg))
 end
 
+(* The only open/pump/close loop over an archive file: every analysis
+   entry point reaches records through here. *)
 let fold_file ?chunk_records ~init ~f path =
   match Stream.open_file ?chunk_records path with
   | Error e -> Error e
-  | Ok s ->
-      Fun.protect
-        ~finally:(fun () -> Stream.close s)
-        (fun () ->
-          let rec go acc =
-            match Stream.next s with
-            | Some chunk -> go (f acc chunk)
-            | None -> (Stream.meta s, acc, Stream.ledger s)
-          in
-          Ok (go init))
+  | Ok s -> (
+      match
+        Fun.protect
+          ~finally:(fun () -> Stream.close s)
+          (fun () ->
+            let rec go acc =
+              match Stream.next s with
+              | Some chunk -> go (f acc chunk)
+              | None -> (acc, Stream.ledger s)
+            in
+            go (init (Stream.meta s)))
+      with
+      | r -> Ok r
+      | exception Sys_error msg -> Error (unreadable path msg))
+
+let read_meta path =
+  Result.map
+    (fun s ->
+      Stream.close s;
+      Stream.meta s)
+    (Stream.open_file path)

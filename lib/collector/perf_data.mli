@@ -47,8 +47,15 @@ val analysis_process : t -> Process.t
 
 (** {1 Errors, faults and salvage} *)
 
-(** Hard errors: nothing usable could be recovered. *)
-type error = Bad_magic | Bad_version of int | Truncated | Corrupt of string
+(** Hard errors: nothing usable could be recovered.  [Unreadable] is an
+    I/O failure (missing file, permission, read error) with the
+    system's reason. *)
+type error =
+  | Bad_magic
+  | Bad_version of int
+  | Truncated
+  | Corrupt of string
+  | Unreadable of string
 
 val pp_error : Format.formatter -> error -> unit
 
@@ -142,7 +149,8 @@ module Stream : sig
 
   (** Open an archive for streaming.  Fails with the same typed errors
       as {!of_bytes} (bad magic/version, or damaged {e metadata}
-      sections — record damage is salvaged, not an error).
+      sections — record damage is salvaged, not an error), plus
+      [Unreadable] when the file cannot be opened or read.
       @raise Invalid_argument when [chunk_records < 1]. *)
   val open_file : ?chunk_records:int -> string -> (stream, error) result
 
@@ -162,12 +170,18 @@ module Stream : sig
   val close : stream -> unit
 end
 
-(** [fold_file ~init ~f path] — stream every record chunk of the archive
-    at [path] through [f]; returns the metadata (with [records = []]),
-    the final accumulator and the salvage ledger. *)
+(** [fold_file ~init ~f path] — the one open/pump/close loop over an
+    archive file: [init] receives the archive's metadata (with
+    [records = []]), then every record chunk is streamed through [f].
+    Returns the final accumulator and the salvage ledger.  I/O failures
+    are [Error (Unreadable _)], never exceptions. *)
 val fold_file :
   ?chunk_records:int ->
-  init:'acc ->
+  init:(t -> 'acc) ->
   f:('acc -> Record.t list -> 'acc) ->
   string ->
-  (t * 'acc * fault list, error) result
+  ('acc * fault list, error) result
+
+(** [read_meta path] — the archive's metadata ([records = []]) without
+    streaming its records. *)
+val read_meta : string -> (t, error) result

@@ -2,7 +2,7 @@
 
     Records which archives have been fully folded into the running
     {!Pipeline.Partial} plus the serialized partial itself, in the
-    same versioned CRC-guarded section framing as the archive format.
+    same versioned CRC-guarded {!Framing} as the partial blob.
     Saved atomically ({!Hbbp_durable.Durable}) after every consumed
     archive, so a [kill -9] leaves a loadable checkpoint naming a
     prefix of the work — what [analyze --resume] restarts from. *)

@@ -64,7 +64,6 @@ type report = {
   rep_runs : jobs_run list;
   rep_consistent : bool;
   rep_degraded : bool;
-  rep_sampler : string;
   rep_alloc_sites : alloc_site list;
 }
 
@@ -74,54 +73,9 @@ type report = {
 let allocated_words (s : Gc.stat) =
   s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
 
-(* Stream one shard into a fresh partial.  The static view is shared
-   (immutable) so merged partials satisfy [Partial.merge]'s physical
-   equality check. *)
-let partial_of_shard ~static ~ebs_period ~lbr_period path =
-  match Perf_data.Stream.open_file path with
-  | Error e ->
-      failwith (Format.asprintf "doctor: %s: %a" path Perf_data.pp_error e)
-  | Ok s ->
-      Fun.protect
-        ~finally:(fun () -> Perf_data.Stream.close s)
-        (fun () ->
-          let p = Pipeline.Partial.create ~static ~ebs_period ~lbr_period () in
-          let rec pump () =
-            match Perf_data.Stream.next s with
-            | Some chunk ->
-                Pipeline.Partial.feed p chunk;
-                pump ()
-            | None -> ()
-          in
-          pump ();
-          Pipeline.Partial.note_faults p (Perf_data.Stream.ledger s);
-          p)
-
-(* Bias-contamination replay over the shard files, same as
-   [Pipeline.analyze_archives] uses — only consulted when pass one
-   flagged a branch. *)
-let replay_paths paths f =
-  List.iter
-    (fun path ->
-      match Perf_data.Stream.open_file path with
-      | Error _ -> ()
-      | Ok s ->
-          Fun.protect
-            ~finally:(fun () -> Perf_data.Stream.close s)
-            (fun () ->
-              let rec pump () =
-                match Perf_data.Stream.next s with
-                | Some chunk ->
-                    f chunk;
-                    pump ()
-                | None -> ()
-              in
-              pump ()))
-    paths
-
 (* One full analysis pass at a given job count.  Returns the
    reconstruction plus everything measured on the way. *)
-let analyze_at ~static ~ebs_period ~lbr_period ~paths ~jobs =
+let analyze_at ~shared ~paths ~jobs =
   Trace.with_span ~cat:"doctor"
     ~args:[ ("jobs", string_of_int jobs) ]
     "analyze"
@@ -139,7 +93,11 @@ let analyze_at ~static ~ebs_period ~lbr_period ~paths ~jobs =
               let dom = (Domain.self () :> int) in
               let g0 = Gc.quick_stat () in
               let w0 = now () in
-              let p = partial_of_shard ~static ~ebs_period ~lbr_period path in
+              let p =
+                match Pipeline.stream_archive ~shared path with
+                | Ok (_, p) -> p
+                | Error msg -> failwith ("doctor: " ^ msg)
+              in
               let w1 = now () in
               let g1 = Gc.quick_stat () in
               Mutex.lock task_lock;
@@ -156,7 +114,7 @@ let analyze_at ~static ~ebs_period ~lbr_period ~paths ~jobs =
     | p :: rest -> List.fold_left Pipeline.Partial.merge p rest
     | [] -> invalid_arg "Doctor: no shards"
   in
-  let r = Pipeline.finalize ~replay:(replay_paths paths) merged in
+  let r = Pipeline.finalize ~replay:(Pipeline.replay_archives paths) merged in
   let t1 = now () in
   (* Busy-time imbalance over the workers that actually ran tasks: the
      even-partition ideal is 1.0; the serial bottleneck worker shows up
@@ -286,10 +244,8 @@ let run ?max_jobs ?shards ?config (w : Workload.t) =
   let profiler_was_on = Runtime_profiler.enabled () in
   Metrics.enable ();
   Runtime_profiler.enable ();
-  let sampler = Runtime_profiler.arm_sampler () in
   Fun.protect
     ~finally:(fun () ->
-      Runtime_profiler.disarm_sampler ();
       if not profiler_was_on then Runtime_profiler.disable ();
       if not metrics_were_on then Metrics.disable ())
   @@ fun () ->
@@ -307,13 +263,13 @@ let run ?max_jobs ?shards ?config (w : Workload.t) =
         (fun p -> try Sys.remove p with Sys_error _ -> ())
         (List.sort_uniq compare (base :: paths)))
   @@ fun () ->
-  let static = Static.create_exn (Perf_data.analysis_process archive) in
-  let ebs_period = archive.Perf_data.ebs_period in
-  let lbr_period = archive.Perf_data.lbr_period in
+  (* One static view shared by every shard, so partials merge. *)
+  let shared =
+    (archive, Static.create_exn (Perf_data.analysis_process archive))
+  in
   let before = Metrics.snapshot () in
   let results =
-    List.init max_jobs (fun k ->
-        analyze_at ~static ~ebs_period ~lbr_period ~paths ~jobs:(k + 1))
+    List.init max_jobs (fun k -> analyze_at ~shared ~paths ~jobs:(k + 1))
   in
   let after = Metrics.snapshot () in
   let t1 =
@@ -353,7 +309,6 @@ let run ?max_jobs ?shards ?config (w : Workload.t) =
     rep_runs = runs;
     rep_consistent = consistent;
     rep_degraded = degraded;
-    rep_sampler = Runtime_profiler.sampler_mode_name sampler;
     rep_alloc_sites = alloc_sites_between ~before ~after;
   }
 
@@ -392,9 +347,9 @@ let to_json (r : report) =
   in
   Buffer.add_string buf
     (Printf.sprintf
-       "{\"workload\":\"%s\",\"shards\":%d,\"records\":%d,\"sampler\":\"%s\",\"consistent\":%b,\"degraded\":%b,\"runs\":[%s],\"alloc_sites\":[%s]}"
-       (escape r.rep_workload) r.rep_shards r.rep_records
-       (escape r.rep_sampler) r.rep_consistent r.rep_degraded
+       "{\"workload\":\"%s\",\"shards\":%d,\"records\":%d,\"consistent\":%b,\"degraded\":%b,\"runs\":[%s],\"alloc_sites\":[%s]}"
+       (escape r.rep_workload) r.rep_shards r.rep_records r.rep_consistent
+       r.rep_degraded
        (String.concat "," (List.map run_json r.rep_runs))
        (String.concat ","
           (List.map
@@ -406,8 +361,8 @@ let to_json (r : report) =
 
 let pp ppf (r : report) =
   Format.fprintf ppf
-    "doctor: workload %s, %d records over %d shard(s); sampler %s@."
-    r.rep_workload r.rep_records r.rep_shards r.rep_sampler;
+    "doctor: workload %s, %d records over %d shard(s)@." r.rep_workload
+    r.rep_records r.rep_shards;
   Format.fprintf ppf "  %4s %9s %9s %9s %8s %11s %12s %10s@." "jobs" "wall s"
     "stream s" "merge s" "speedup" "efficiency" "utilization" "imbalance";
   List.iter

@@ -51,7 +51,6 @@ type report = {
   rep_consistent : bool;
       (** Every job count reconstructed identical HBBP counts. *)
   rep_degraded : bool;  (** The reconstruction's quality verdict. *)
-  rep_sampler : string;  (** Allocation sampler mode actually armed. *)
   rep_alloc_sites : alloc_site list;
       (** Spans by exclusive words allocated, descending. *)
 }

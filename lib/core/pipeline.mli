@@ -192,7 +192,7 @@ module Partial : sig
   (** {2 Checkpointing}
 
       A partial serializes to a versioned, CRC-guarded binary blob
-      (the archive's v2 section framing over the accumulator state).
+      ({!Framing} over the accumulator state).
       The state is integer-domain throughout, so
       [restore ~static (serialize p)] rebuilds a partial that
       finalizes {e byte-identically} to [p] — the property [--resume]
@@ -265,24 +265,6 @@ val reconstruct :
   Record.t list ->
   reconstruction
 
-(** [reconstruct_stream ~static ~ebs_period ~lbr_period chunks] —
-    chunked reconstruction: [chunks ()] yields record chunks until
-    [None]; resident state is the accumulators plus one chunk.  [replay]
-    must re-yield the same stream when provided (bias contamination,
-    second pass — only taken when pass one flags).  Bit-identical to
-    {!reconstruct} on the concatenated chunks. *)
-val reconstruct_stream :
-  ?criteria:Criteria.t ->
-  ?thresholds:thresholds ->
-  ?repair:repair_mode ->
-  ?ledger:Perf_data.fault list ->
-  ?replay:((Record.t list -> unit) -> unit) ->
-  static:Static.t ->
-  ebs_period:int ->
-  lbr_period:int ->
-  (unit -> Record.t list option) ->
-  reconstruction
-
 (** [merge_reconstructions a b] — re-finalize the merged partial state
     of two reconstructions over the same static view ([a]'s stream
     followed by [b]'s): estimates add exactly, and quality/fallback/bias
@@ -322,9 +304,31 @@ val analyze_archive :
   Perf_data.t ->
   reconstruction
 
+(** [stream_archive ?shared path] — fold one archive off disk
+    ({!Perf_data.fold_file}) into a fresh partial, salvage ledger
+    noted, inside an ["archive"] trace span; returns the archive's
+    metadata ([records = []]) with the partial.  Without [shared] the
+    static view is built from this archive's metadata.  With
+    [shared = (meta, static)] the archive must carry [meta]'s workload
+    name and sampling periods (else a ["shard metadata mismatch"]
+    error) and its partial is built over [static], so it merges with
+    its siblings.  [Error] carries a rendered diagnostic.  Only reads
+    [shared]: safe to run on several domains at once. *)
+val stream_archive :
+  ?chunk_records:int ->
+  ?shared:Perf_data.t * Static.t ->
+  string ->
+  (Perf_data.t * Partial.t, string) result
+
+(** [replay_archives paths f] — re-yield every record chunk of [paths],
+    in order: the [replay] of {!finalize} for a streamed analysis.  An
+    archive that has become unreadable is skipped. *)
+val replay_archives :
+  ?chunk_records:int -> string list -> (Record.t list -> unit) -> unit
+
 (** [analyze_archives paths] — streaming multi-archive analysis: each
-    archive is chunk-streamed off disk ({!Perf_data.Stream}) into its
-    own partial, partials merge in path order, and the result is
+    archive is streamed into its own partial ({!stream_archive}),
+    partials merge in path order, and the result is
     finalized over the merged totals (salvage ledgers, lost records and
     channel thresholds included).  All archives must carry the same
     workload name and sampling periods — the shards

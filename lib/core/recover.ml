@@ -17,7 +17,6 @@
 open Hbbp_analyzer
 open Hbbp_collector
 module Durable = Hbbp_durable.Durable
-module Trace = Hbbp_telemetry.Trace
 module Metrics = Hbbp_telemetry.Metrics
 
 exception Interrupted
@@ -128,50 +127,6 @@ let collect_sharded ?config ?version ?(resume = false)
 
 let default_checkpoint_every = 1
 
-(* One archive streamed into a fresh partial over the shared static
-   view — the same fold Pipeline.analyze_archives performs, via the
-   public Stream API. *)
-let partial_of_path ?chunk_records ~static ~meta0 path =
-  let render e = Format.asprintf "%a" Perf_data.pp_error e in
-  Trace.with_span ~cat:"analyze" ~args:[ ("path", path) ] "archive"
-  @@ fun () ->
-  match Perf_data.Stream.open_file ?chunk_records path with
-  | Error e -> Error (Printf.sprintf "%s: %s" path (render e))
-  | Ok s ->
-      Fun.protect
-        ~finally:(fun () -> Perf_data.Stream.close s)
-        (fun () ->
-          let m = Perf_data.Stream.meta s in
-          if
-            m.Perf_data.workload_name <> meta0.Perf_data.workload_name
-            || m.Perf_data.ebs_period <> meta0.Perf_data.ebs_period
-            || m.Perf_data.lbr_period <> meta0.Perf_data.lbr_period
-          then
-            Error
-              (Printf.sprintf
-                 "%s: shard metadata mismatch (workload %S, periods %d/%d; \
-                  expected %S, %d/%d)"
-                 path m.Perf_data.workload_name m.Perf_data.ebs_period
-                 m.Perf_data.lbr_period meta0.Perf_data.workload_name
-                 meta0.Perf_data.ebs_period meta0.Perf_data.lbr_period)
-          else begin
-            let p =
-              Pipeline.Partial.create ~static
-                ~ebs_period:m.Perf_data.ebs_period
-                ~lbr_period:m.Perf_data.lbr_period ()
-            in
-            let rec pump () =
-              match Perf_data.Stream.next s with
-              | Some chunk ->
-                  Pipeline.Partial.feed p chunk;
-                  pump ()
-              | None -> ()
-            in
-            pump ();
-            Pipeline.Partial.note_faults p (Perf_data.Stream.ledger s);
-            Ok p
-          end)
-
 (* [prefix_of done_paths paths] — [Some rest] when [done_paths] is a
    prefix of [paths] (the checkpoint matches this invocation). *)
 let rec prefix_of done_paths paths =
@@ -190,18 +145,13 @@ let analyze_archives ?criteria ?thresholds ?repair ?chunk_records
   (* Metadata and the shared static view always come from the first
      archive, resumed or not — restore needs the same static instance
      every partial merges against. *)
-  let* meta0, static =
-    match Perf_data.Stream.open_file ?chunk_records (List.hd paths) with
-    | Error e ->
-        Error
-          (Format.asprintf "%s: %a" (List.hd paths) Perf_data.pp_error e)
-    | Ok s ->
-        Fun.protect
-          ~finally:(fun () -> Perf_data.Stream.close s)
-          (fun () ->
-            let m = Perf_data.Stream.meta s in
-            Ok (m, Static.create_exn (Perf_data.analysis_process m)))
+  let first = List.hd paths in
+  let* meta0 =
+    Result.map_error
+      (Format.asprintf "%s: %a" first Perf_data.pp_error)
+      (Perf_data.read_meta first)
   in
+  let static = Static.create_exn (Perf_data.analysis_process meta0) in
   (* A checkpoint is trusted only when it loads cleanly, restores
      cleanly, and names a prefix of the requested paths; anything else
      falls back to a full run (a resume must never produce different
@@ -254,7 +204,9 @@ let analyze_archives ?criteria ?thresholds ?repair ?chunk_records
           save_checkpoint ();
           raise Interrupted
         end;
-        let* p = partial_of_path ?chunk_records ~static ~meta0 path in
+        let* _, p =
+          Pipeline.stream_archive ?chunk_records ~shared:(meta0, static) path
+        in
         (merged :=
            match !merged with
            | None -> Some p
@@ -268,27 +220,10 @@ let analyze_archives ?criteria ?thresholds ?repair ?chunk_records
   match !merged with
   | None -> Error "no archives were analyzed"
   | Some m ->
-      (* Bias contamination second pass over the combined stream —
-         identical to Pipeline.analyze_archives. *)
-      let replay f =
-        List.iter
-          (fun path ->
-            match Perf_data.Stream.open_file ?chunk_records path with
-            | Error _ -> ()
-            | Ok s ->
-                Fun.protect
-                  ~finally:(fun () -> Perf_data.Stream.close s)
-                  (fun () ->
-                    let rec pump () =
-                      match Perf_data.Stream.next s with
-                      | Some chunk ->
-                          f chunk;
-                          pump ()
-                      | None -> ()
-                    in
-                    pump ()))
-          paths
+      let r =
+        Pipeline.finalize ?criteria ?thresholds ?repair
+          ~replay:(Pipeline.replay_archives ?chunk_records paths)
+          m
       in
-      let r = Pipeline.finalize ?criteria ?thresholds ?repair ~replay m in
       Checkpoint.remove ~path:checkpoint;
       Ok (meta0, r)

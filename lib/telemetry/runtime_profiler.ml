@@ -1,5 +1,4 @@
-(* Runtime introspection: per-domain GC accounting at span boundaries
-   plus an opt-in allocation sampler.
+(* Runtime introspection: per-domain GC accounting at span boundaries.
 
    The profiler installs a {!Trace.probe}: at every span boundary it
    takes [Gc.quick_stat] (domain-local in OCaml 5 — no stop-the-world)
@@ -154,66 +153,6 @@ let probe_close ~name:_ ~cat:_ =
       !args
 
 (* ------------------------------------------------------------------ *)
-(* Allocation sampler                                                  *)
-
-type sampler_mode = Sampler_off | Sampler_memprof | Sampler_words
-
-let sampler = ref Sampler_off
-let sampler_mode () = !sampler
-
-let sampler_mode_name = function
-  | Sampler_off -> "off"
-  | Sampler_memprof -> "memprof"
-  | Sampler_words -> "words-fallback"
-
-(* Attribute one sampled allocation to the innermost open span of the
-   allocating domain.  Pure accounting — returns [None] so memprof
-   never tracks the block further. *)
-let on_sample (a : Gc.Memprof.allocation) =
-  if Metrics.enabled () then begin
-    Metrics.add (Metrics.counter "alloc.samples") a.Gc.Memprof.n_samples;
-    Metrics.add (Metrics.counter "alloc.sampled_words") a.Gc.Memprof.size;
-    match Trace.current_span () with
-    | Some name ->
-        Metrics.add
-          (Metrics.counter (Printf.sprintf "alloc.span.%s.samples" name))
-          a.Gc.Memprof.n_samples
-    | None -> ()
-  end;
-  None
-
-(* [Gc.Memprof.start] compiles on every OCaml 5 but raises
-   [Failure "not implemented in multicore"] on 5.1/5.2 (statmemprof
-   returns in 5.3).  Degrade to the quick_stat word accounting the
-   boundary probe already performs, and say which mode is live. *)
-let arm_sampler ?(sampling_rate = 1e-3) () =
-  (match !sampler with
-  | Sampler_memprof -> Gc.Memprof.stop ()
-  | Sampler_off | Sampler_words -> ());
-  sampler :=
-    (try
-       let _ =
-         Gc.Memprof.start ~sampling_rate ~callstack_size:0
-           { Gc.Memprof.null_tracker with
-             alloc_minor = on_sample;
-             alloc_major = on_sample;
-           }
-       in
-       Sampler_memprof
-     with Failure _ -> Sampler_words);
-  if Metrics.enabled () then
-    Metrics.set
-      (Metrics.gauge "alloc.sampler_memprof")
-      (match !sampler with Sampler_memprof -> 1.0 | _ -> 0.0);
-  !sampler
-
-let disarm_sampler () =
-  (match !sampler with
-  | Sampler_memprof -> ( try Gc.Memprof.stop () with Failure _ -> ())
-  | Sampler_off | Sampler_words -> ());
-  sampler := Sampler_off
-
-(* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
 
 let enable () =
@@ -226,10 +165,5 @@ let enable () =
 let disable () =
   if Atomic.get enabled_flag then begin
     Trace.set_probe None;
-    disarm_sampler ();
     Atomic.set enabled_flag false
   end
-
-(* Point-in-time GC reading, independent of span boundaries — the
-   doctor uses it to bracket whole analysis runs. *)
-let current_stat () = Gc.quick_stat ()

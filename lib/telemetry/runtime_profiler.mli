@@ -1,5 +1,4 @@
-(** Runtime introspection: per-domain GC accounting at span boundaries
-    plus an opt-in allocation sampler.
+(** Runtime introspection: per-domain GC accounting at span boundaries.
 
     When enabled, every {!Trace.with_span} boundary takes a domain-local
     [Gc.quick_stat] and accounts the delta since the previous boundary
@@ -28,32 +27,5 @@ val enabled : unit -> bool
     {!Trace.enabled}. *)
 val enable : unit -> unit
 
-(** Remove the probe and disarm the sampler.  Call only while no span
-    is in flight. *)
+(** Remove the probe.  Call only while no span is in flight. *)
 val disable : unit -> unit
-
-(** {1 Allocation sampler} *)
-
-type sampler_mode =
-  | Sampler_off
-  | Sampler_memprof  (** statmemprof live ([Gc.Memprof]). *)
-  | Sampler_words
-      (** [Gc.Memprof.start] unavailable on this runtime (OCaml 5.1/5.2
-          multicore raises) — allocation attribution falls back to the
-          boundary probe's quick_stat word deltas. *)
-
-(** [arm_sampler ?sampling_rate ()] — try to start [Gc.Memprof] with a
-    tracker that attributes each sampled allocation to the innermost
-    open span ([alloc.samples], [alloc.sampled_words],
-    [alloc.span.<name>.samples]); returns the mode actually armed.
-    The tracker never retains blocks, so sampling cannot perturb
-    results. *)
-val arm_sampler : ?sampling_rate:float -> unit -> sampler_mode
-
-val disarm_sampler : unit -> unit
-val sampler_mode : unit -> sampler_mode
-val sampler_mode_name : sampler_mode -> string
-
-(** A point-in-time [Gc.quick_stat], for bracketing whole runs (the
-    doctor's per-domain GC deltas). *)
-val current_stat : unit -> Gc.stat

@@ -20,28 +20,13 @@ let parse_bool ~var = function
       Printf.eprintf "hbbp: ignoring %s=%s (expected a boolean)\n%!" var other;
       None
 
-(* HBBP_ALLOC_SAMPLE accepts a boolean (default rate) or a sampling
-   rate in (0, 1]. *)
-let parse_sample ~var s =
-  match parse_bool ~var:"" s with
-  | Some true -> Some (Some 1e-3)
-  | Some false -> Some None
-  | None -> (
-      match float_of_string_opt s with
-      | Some r when r > 0.0 && r <= 1.0 -> Some (Some r)
-      | Some _ | None ->
-          Printf.eprintf
-            "hbbp: ignoring %s=%s (expected a boolean or a rate in (0,1])\n%!"
-            var s;
-          None)
-
 let opt_or_env ~parse explicit var =
   match explicit with
   | Some _ as v -> v
   | None -> Option.bind (Sys.getenv_opt var) parse
 
 let configure ?trace ?metrics ?metrics_stream ?stream_every_spans
-    ?stream_interval_s ?runtime_profile ?alloc_sample () =
+    ?stream_interval_s ?runtime_profile () =
   let trace =
     match trace with Some _ as t -> t | None -> Sys.getenv_opt "HBBP_TRACE"
   in
@@ -57,15 +42,6 @@ let configure ?trace ?metrics ?metrics_stream ?stream_every_spans
     opt_or_env
       ~parse:(parse_bool ~var:"HBBP_RUNTIME_PROFILE")
       runtime_profile "HBBP_RUNTIME_PROFILE"
-  in
-  let alloc_sample =
-    match alloc_sample with
-    | Some true -> Some (Some 1e-3)
-    | Some false -> Some None
-    | None ->
-        Option.bind
-          (Sys.getenv_opt "HBBP_ALLOC_SAMPLE")
-          (parse_sample ~var:"HBBP_ALLOC_SAMPLE")
   in
   (match trace with
   | Some path when path <> "" ->
@@ -94,11 +70,7 @@ let configure ?trace ?metrics ?metrics_stream ?stream_every_spans
   in
   if want_profile then begin
     Runtime_profiler.enable ();
-    profiling := true;
-    match alloc_sample with
-    | Some (Some rate) ->
-        ignore (Runtime_profiler.arm_sampler ~sampling_rate:rate ())
-    | Some None | None -> ()
+    profiling := true
   end
 
 let active () =

@@ -12,9 +12,7 @@
       [HBBP_METRICS_STREAM=FILE]
     - runtime profiler ({!Runtime_profiler}): on automatically whenever
       any of the above is armed; opt out with [~runtime_profile:false] /
-      [HBBP_RUNTIME_PROFILE=0], force on with [true] / [=1]
-    - allocation sampler: opt in with [~alloc_sample:true] /
-      [HBBP_ALLOC_SAMPLE=1] (or a sampling rate in (0,1]) *)
+      [HBBP_RUNTIME_PROFILE=0], force on with [true] / [=1] *)
 
 type metrics_format = [ `Json | `Table ]
 
@@ -28,7 +26,6 @@ val configure :
   ?stream_every_spans:int ->
   ?stream_interval_s:float ->
   ?runtime_profile:bool ->
-  ?alloc_sample:bool ->
   unit ->
   unit
 

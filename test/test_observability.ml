@@ -300,7 +300,6 @@ let test_doctor_report () =
     (fun (s : Doctor.alloc_site) ->
       checkb "site words positive" true (s.site_words > 0))
     report.Doctor.rep_alloc_sites;
-  checkb "sampler mode reported" true (report.Doctor.rep_sampler <> "");
   (* JSON rendering is a single object with the headline fields. *)
   let json = Doctor.to_json report in
   let contains sub =

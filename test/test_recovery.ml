@@ -383,6 +383,47 @@ let test_analyze_resume_identical () =
     (Bytes.equal uninterrupted fallback);
   cleanup base paths
 
+(* Both analysis entry points report an unreadable archive as an [Error]
+   rather than an exception. *)
+let test_analyze_missing_archive () =
+  let base = fresh_base "missing" in
+  let missing = base ^ ".does-not-exist.hbbp" in
+  let ckpt = base ^ ".ckpt" in
+  (match Pipeline.analyze_archives [ missing ] with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "plain analysis of a missing archive succeeded");
+  (match Recover.analyze_archives ~checkpoint:ckpt [ missing ] with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "checkpointed analysis of a missing archive succeeded");
+  checkb "no checkpoint written" false (Sys.file_exists ckpt);
+  cleanup base []
+
+(* Archives of two different workloads cannot be merged: both entry points
+   refuse them with the shard-metadata diagnostic. *)
+let test_analyze_shard_mismatch () =
+  let base_a = fresh_base "mismatch-a" and base_b = fresh_base "mismatch-b" in
+  let ckpt = base_a ^ ".ckpt" in
+  Perf_data.save (Lazy.force reference_archive) ~path:base_a;
+  Perf_data.save
+    (Pipeline.collect_archive (mk_workload ~seed:0xF00DL "other"))
+    ~path:base_b;
+  let mentions_mismatch what = function
+    | Ok _ -> Alcotest.failf "%s: mismatched archives were merged" what
+    | Error msg ->
+        let needle = "shard metadata mismatch" in
+        let n = String.length needle in
+        let rec has i =
+          i + n <= String.length msg
+          && (String.sub msg i n = needle || has (i + 1))
+        in
+        checkb (what ^ " reports the mismatch") true (has 0)
+  in
+  mentions_mismatch "Pipeline.analyze_archives"
+    (Pipeline.analyze_archives [ base_a; base_b ]);
+  mentions_mismatch "Recover.analyze_archives"
+    (Recover.analyze_archives ~checkpoint:ckpt [ base_a; base_b ]);
+  cleanup base_a [ base_b ]
+
 let () =
   Alcotest.run "recovery"
     [
@@ -413,5 +454,9 @@ let () =
         [
           Alcotest.test_case "resume is byte-identical" `Quick
             test_analyze_resume_identical;
+          Alcotest.test_case "missing archive is an error" `Quick
+            test_analyze_missing_archive;
+          Alcotest.test_case "shard metadata mismatch is an error" `Quick
+            test_analyze_shard_mismatch;
         ] );
     ]

@@ -329,52 +329,23 @@ let test_merge_reconstructions_matches_batch () =
           (* Merging partials requires one shared static view, so build
              both reconstructions over the same one (the documented
              discipline for [merge_reconstructions]). *)
-          let static =
-            Static.create_exn (Perf_data.analysis_process archive)
+          let shared =
+            (archive, Static.create_exn (Perf_data.analysis_process archive))
           in
           let partial_of paths =
-            let p =
-              Pipeline.Partial.create ~static
-                ~ebs_period:archive.Perf_data.ebs_period
-                ~lbr_period:archive.Perf_data.lbr_period ()
+            let partials =
+              List.map
+                (fun path ->
+                  snd
+                    (ok_or_fail path (Pipeline.stream_archive ~shared path)))
+                paths
             in
-            List.iter
-              (fun path ->
-                match Perf_data.Stream.open_file path with
-                | Error e ->
-                    Alcotest.failf "%s: %a" path Perf_data.pp_error e
-                | Ok s ->
-                    let rec pump () =
-                      match Perf_data.Stream.next s with
-                      | Some chunk ->
-                          Pipeline.Partial.feed p chunk;
-                          pump ()
-                      | None -> ()
-                    in
-                    pump ();
-                    Pipeline.Partial.note_faults p
-                      (Perf_data.Stream.ledger s);
-                    Perf_data.Stream.close s)
-              paths;
-            p
+            List.fold_left Pipeline.Partial.merge (List.hd partials)
+              (List.tl partials)
           in
           let head = Pipeline.finalize (partial_of [ p0 ]) in
           let tail = Pipeline.finalize (partial_of [ p1; p2 ]) in
-          let replay f =
-            List.iter
-              (fun p ->
-                match Perf_data.Stream.open_file p with
-                | Error _ -> ()
-                | Ok s ->
-                    let rec pump () =
-                      match Perf_data.Stream.next s with
-                      | Some chunk -> f chunk; pump ()
-                      | None -> ()
-                    in
-                    pump ();
-                    Perf_data.Stream.close s)
-              shard_paths
-          in
+          let replay = Pipeline.replay_archives shard_paths in
           let merged = Pipeline.merge_reconstructions ~replay head tail in
           let _, all =
             ok_or_fail "all shards" (Pipeline.analyze_archives shard_paths)
