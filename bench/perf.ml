@@ -1,7 +1,8 @@
 (* Performance trend bench: times the full table sweep at -j 1 vs -j N,
    checks that the parallel profiles are byte-identical to the
-   sequential ones, measures raw executor throughput per engine over a
-   representative workload set, and writes the results to
+   sequential ones, measures executor throughput per engine over a
+   representative workload set, bare and with [collect]'s observer set
+   armed, and writes the results to
    BENCH_pipeline.json so future PRs have a machine-readable perf
    trajectory. *)
 
@@ -61,48 +62,62 @@ type engine_run = {
   er_seconds : float;
 }
 
-(* Raw Machine.run throughput (no observers) per engine; best of three.
-   Also cross-checks that every engine returns identical run stats —
-   the cheap always-on slice of the differential suite. *)
-let machine_throughput () =
-  let runs = ref [] in
-  List.iter
+(* [collect]'s observer set: one sampling session PMU at the
+   workload's simulation periods. *)
+let collect_pmu (w : Workload.t) =
+  Hbbp_collector.Session.pmu
+    (Hbbp_collector.Session.configure Hbbp_cpu.Pmu_model.default
+       (Hbbp_collector.Period.simulation w.Workload.runtime_class))
+
+(* Machine.run throughput per engine, best of three: bare (no
+   observers), or [~armed:true] with [collect]'s observer set.  The
+   engines' repetitions alternate, so a burst of host noise lands on
+   both sides of the ratio.  Also cross-checks that every engine
+   returns identical run stats (and, armed, the same PMI count) — the
+   cheap always-on slice of the differential suite. *)
+let machine_throughput ?(armed = false) () =
+  let run_once (w : Workload.t) engine =
+    let machine =
+      Hbbp_cpu.Machine.create ~process:w.Workload.live_process ~engine ()
+    in
+    let pmu = if armed then Some (collect_pmu w) else None in
+    Option.iter
+      (fun pmu ->
+        Hbbp_cpu.Machine.add_observer machine (Hbbp_cpu.Pmu.observer pmu))
+      pmu;
+    let t0 = now () in
+    let s = Hbbp_cpu.Machine.run machine ~entry:w.Workload.entry () in
+    (now () -. t0, (s, Option.map Hbbp_cpu.Pmu.pmi_count pmu))
+  in
+  List.concat_map
     (fun ((w : Workload.t), _axis) ->
-      let reference = ref None in
-      List.iter
-        (fun engine ->
-          let best = ref infinity and stats = ref None in
-          for _ = 1 to 3 do
-            let machine =
-              Hbbp_cpu.Machine.create ~process:w.Workload.live_process ~engine
-                ()
-            in
-            let t0 = now () in
-            let s = Hbbp_cpu.Machine.run machine ~entry:w.Workload.entry () in
-            let dt = now () -. t0 in
-            if dt < !best then best := dt;
-            stats := Some s
-          done;
-          let s = Option.get !stats in
-          (match !reference with
-          | None -> reference := Some s
-          | Some r ->
-              if compare r s <> 0 then
-                failwith
-                  (Printf.sprintf
-                     "BENCH pipeline: %s engine diverges from legacy on %s"
-                     (Hbbp_cpu.Machine.engine_name engine) w.Workload.name));
-          runs :=
-            {
-              er_workload = w.Workload.name;
-              er_engine = Hbbp_cpu.Machine.engine_name engine;
-              er_retired = s.Hbbp_cpu.Machine.retired;
-              er_seconds = !best;
-            }
-            :: !runs)
+      let best = Array.make (List.length engines) infinity in
+      let outcomes = Array.make (List.length engines) None in
+      for _ = 1 to 3 do
+        List.iteri
+          (fun k engine ->
+            let dt, o = run_once w engine in
+            if dt < best.(k) then best.(k) <- dt;
+            outcomes.(k) <- Some o)
+          engines
+      done;
+      let reference = Option.get outcomes.(0) in
+      List.mapi
+        (fun k engine ->
+          let ((s, _) as o) = Option.get outcomes.(k) in
+          if compare reference o <> 0 then
+            failwith
+              (Printf.sprintf
+                 "BENCH pipeline: %s engine diverges from legacy on %s"
+                 (Hbbp_cpu.Machine.engine_name engine) w.Workload.name);
+          {
+            er_workload = w.Workload.name;
+            er_engine = Hbbp_cpu.Machine.engine_name engine;
+            er_retired = s.Hbbp_cpu.Machine.retired;
+            er_seconds = best.(k);
+          })
         engines)
-    (machine_workloads ());
-  List.rev !runs
+    (machine_workloads ())
 
 let rate (r : engine_run) = float_of_int r.er_retired /. r.er_seconds
 
@@ -143,6 +158,7 @@ let run ppf =
   in
   let speedup = seq_s /. par_s in
   let machine_runs = machine_throughput () in
+  let armed_runs = machine_throughput ~armed:true () in
   Format.fprintf ppf "%d workloads, %d retired instructions@."
     (List.length entries) retired;
   Format.fprintf ppf "-j 1: %8.2f s  (%.2fM retired/s)@." seq_s
@@ -154,37 +170,42 @@ let run ppf =
   Format.fprintf ppf "profiles byte-identical across job counts: %b@."
     identical;
   List.iter
-    (fun r ->
-      Format.fprintf ppf
-        "Machine.run %-12s %-10s %9.2fM retired/s  (%d retired, %.4f s)@."
-        r.er_workload r.er_engine (rate r /. 1e6) r.er_retired r.er_seconds)
-    machine_runs;
-  List.iter
-    (fun e ->
-      let name = Hbbp_cpu.Machine.engine_name e in
-      Format.fprintf ppf "Machine.run bench-set aggregate %-10s %9.2fM \
-                          retired/s@."
-        name
-        (engine_rate machine_runs name /. 1e6))
-    engines;
+    (fun (label, runs) ->
+      List.iter
+        (fun r ->
+          Format.fprintf ppf
+            "Machine.run %-5s %-12s %-10s %9.2fM retired/s  (%d retired, \
+             %.4f s)@."
+            label r.er_workload r.er_engine (rate r /. 1e6) r.er_retired
+            r.er_seconds)
+        runs;
+      List.iter
+        (fun e ->
+          let name = Hbbp_cpu.Machine.engine_name e in
+          Format.fprintf ppf
+            "Machine.run %-5s bench-set aggregate %-10s %9.2fM retired/s@."
+            label name
+            (engine_rate runs name /. 1e6))
+        engines)
+    [ ("bare", machine_runs); ("armed", armed_runs) ];
   if not identical then
     failwith "BENCH pipeline: parallel profiles differ from sequential";
 
-  let machine_json =
+  let machine_json runs =
     String.concat ",\n"
       (List.map
          (fun r ->
            Printf.sprintf
              {|    { "workload": "%s", "engine": "%s", "retired": %d, "seconds": %.4f, "retired_per_sec": %.0f }|}
              r.er_workload r.er_engine r.er_retired r.er_seconds (rate r))
-         machine_runs)
+         runs)
   in
-  let aggregate_json =
+  let aggregate_json runs =
     String.concat ", "
       (List.map
          (fun e ->
            let name = Hbbp_cpu.Machine.engine_name e in
-           Printf.sprintf {|"%s": %.0f|} name (engine_rate machine_runs name))
+           Printf.sprintf {|"%s": %.0f|} name (engine_rate runs name))
          engines)
   in
   U.write_out "BENCH_pipeline.json"
@@ -200,7 +221,11 @@ let run ppf =
   "machine_run": [
 %s
   ],
-  "machine_run_retired_per_sec": { %s }
+  "machine_run_retired_per_sec": { %s },
+  "machine_run_armed": [
+%s
+  ],
+  "machine_run_armed_retired_per_sec": { %s }
 }
 |}
     (U.json_header ~bench:"pipeline")
@@ -208,7 +233,8 @@ let run ppf =
     (float_of_int retired /. seq_s)
     requested_jobs par_jobs par_s
     (float_of_int retired /. par_s)
-    speedup identical machine_json aggregate_json;
+    speedup identical (machine_json machine_runs) (aggregate_json machine_runs)
+    (machine_json armed_runs) (aggregate_json armed_runs);
   Format.fprintf ppf "wrote BENCH_pipeline.json@.";
   (* The sweep already profiled everything: seed the shared cache so any
      targets after this one in the same run are free. *)

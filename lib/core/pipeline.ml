@@ -750,6 +750,17 @@ let merge_reconstructions ?criteria ?thresholds ?repair ?replay a b =
   finalize ?criteria ?thresholds ?repair ?replay
     (Partial.merge a.r_partial b.r_partial)
 
+(* Executor coverage of one run: how much of it the observers let
+   through whole blocks at a time. *)
+let record_exec_metrics machine (stats : Machine.run_stats) =
+  if Metrics.enabled () then begin
+    let c name n = Metrics.add (Metrics.counter name) n in
+    let coverage = Machine.coverage machine in
+    c "exec.retired" stats.retired;
+    c "exec.blocks_batched" coverage.batched;
+    c "exec.blocks_stepped" coverage.stepped
+  end
+
 let collect_archive ?(config = default_config) (w : Workload.t) =
   Trace.with_span ~cat:"pipeline"
     ~args:[ ("workload", w.Workload.name) ]
@@ -765,11 +776,12 @@ let collect_archive ?(config = default_config) (w : Workload.t) =
   in
   let session = Session.configure config.model sim_periods in
   Machine.add_observer machine (Pmu.observer (Session.pmu session));
-  let (_ : Machine.run_stats) =
+  let stats =
     Trace.with_span ~cat:"pipeline" "execute" (fun () ->
         Machine.run machine ~entry:w.Workload.entry
           ~max_instructions:config.max_instructions ())
   in
+  record_exec_metrics machine stats;
   Trace.with_span ~cat:"pipeline" "archive" (fun () ->
       Perf_data.of_session ~workload_name:w.Workload.name ~session
         ~analysis:w.Workload.analysis_process ~live:w.Workload.live_process)
@@ -928,6 +940,7 @@ let run ?(config = default_config) (w : Workload.t) =
         Machine.run machine ~entry:w.entry
           ~max_instructions:config.max_instructions ())
   in
+  record_exec_metrics machine stats;
   (* Collection output and reconstruction. *)
   let records =
     Trace.with_span ~cat:"pipeline" "collect" (fun () ->

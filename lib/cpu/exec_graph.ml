@@ -20,13 +20,18 @@ type node = {
    entry} address and may overlap — a branch into the middle of one
    block simply starts another — which is what makes the cache safe
    without splitting at join points. *)
+type memo = ..
+
 type block = {
   b_nodes : node array;
   b_last : node;
   b_len : int;
   b_cost : int;  (** Sum of member issue costs. *)
   b_kernel : int;  (** Members retiring in ring 0. *)
-  b_long_latency : bool;  (** Any member casts a PMI shadow. *)
+  b_shadow : int;
+      (** Max over long-latency members of (issue cycles before the
+          member within the block + its latency); 0 when none. *)
+  mutable b_memo : memo list;
 }
 
 (* One contiguous decoded image.  [slots] is indexed by [addr - base],
@@ -106,12 +111,12 @@ let build_block entry =
       | Some next -> collect next (node :: acc) (n + 1)
   in
   let nodes = Array.of_list (collect entry [] 1) in
-  let cost = ref 0 and kernel = ref 0 and long = ref false in
+  let cost = ref 0 and kernel = ref 0 and shadow = ref 0 in
   Array.iter
     (fun n ->
+      if n.long_latency then shadow := max !shadow (!cost + n.latency);
       cost := !cost + n.issue_cost;
-      if n.kernel then incr kernel;
-      if n.long_latency then long := true)
+      if n.kernel then incr kernel)
     nodes;
   {
     b_nodes = nodes;
@@ -119,7 +124,8 @@ let build_block entry =
     b_len = Array.length nodes;
     b_cost = !cost;
     b_kernel = !kernel;
-    b_long_latency = !long;
+    b_shadow = !shadow;
+    b_memo = [];
   }
 
 let block_at t addr =

@@ -42,13 +42,25 @@ val node_count : t -> int
     entry address and may overlap (a branch into the middle of one
     block starts another), so no splitting at join points is needed. *)
 
+(** Per-block summaries that observers above this layer precompute
+    once and attach to the block ([b_memo]), so consuming a
+    whole block costs no hashing. *)
+type memo = ..
+
 type block = {
   b_nodes : node array;  (** In execution order; length ≥ 1. *)
   b_last : node;  (** [b_nodes.(b_len - 1)]. *)
   b_len : int;
   b_cost : int;  (** Sum of member issue costs. *)
   b_kernel : int;  (** Members retiring in ring 0. *)
-  b_long_latency : bool;  (** Any member casts a PMI shadow. *)
+  b_shadow : int;
+      (** PMI-shadow horizon relative to the cycle count at block entry:
+          the maximum over long-latency members of (issue cycles of the
+          members before it + its latency); 0 when no member casts a
+          shadow. *)
+  mutable b_memo : memo list;
+      (** Observer summaries, tagged with their owner when they depend
+          on it; empty until an observer first consumes the block. *)
 }
 
 (** Can [Exec.step] of this instruction return anything but [Fall]?

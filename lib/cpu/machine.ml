@@ -10,7 +10,19 @@ type retirement = {
   mutable shadow_active : bool;
 }
 
-type observer = retirement -> unit
+type observer = {
+  on_retire : retirement -> unit;
+  due : unit -> int;
+  on_block :
+    Exec_graph.block -> src:int -> tgt:int -> cycles:int -> unit;
+}
+
+let per_instruction on_retire =
+  {
+    on_retire;
+    due = (fun () -> 0);
+    on_block = (fun _ ~src:_ ~tgt:_ ~cycles:_ -> ());
+  }
 
 type run_stats = {
   retired : int;
@@ -44,12 +56,14 @@ let engine_name = function
    branches (the guard always passes) and indirect ones (it degrades
    into a monomorphic inline cache). *)
 type compiled = {
+  c_block : Exec_graph.block;  (** What the block hooks receive. *)
   c_nodes : Exec_graph.node array;
   c_kernels : Exec.kernel array;
   c_last : Exec_graph.node;
   c_len : int;
   c_cost : int;  (** Sum of member issue costs. *)
   c_kernel_count : int;  (** Members retiring in ring 0. *)
+  c_shadow : int;  (** [Exec_graph.block.b_shadow]. *)
   mutable c_fall : compiled option;
   mutable c_taken_addr : int;  (** Address [c_taken] resolves; -1 = none. *)
   mutable c_taken : compiled option;
@@ -69,6 +83,8 @@ type t = {
          arrays, so resolving an indirect branch target to compiled
          code costs the same as [Exec_graph.node_at]. *)
   scratch : retirement;
+  mutable blocks_batched : int;
+  mutable blocks_stepped : int;
 }
 
 let fault fmt = Format.kasprintf (fun s -> raise (Machine_fault s)) fmt
@@ -106,12 +122,18 @@ let create ~process ?(seed = 42L) ?(engine = Superblock) () =
         cycles = 0;
         shadow_active = false;
       };
+    blocks_batched = 0;
+    blocks_stepped = 0;
   }
 
 let state t = t.st
 let process t = t.process
 
 let add_observer t obs = t.observers_rev <- obs :: t.observers_rev
+
+type coverage = { batched : int; stepped : int }
+
+let coverage t = { batched = t.blocks_batched; stepped = t.blocks_stepped }
 
 (* The sentinel "return address" pushed below the entry frame: returning
    to it ends the run. *)
@@ -128,12 +150,14 @@ let compiled_at t addr =
       | Some (b : Exec_graph.block) ->
           let c =
             {
+              c_block = b;
               c_nodes = b.b_nodes;
               c_kernels = Array.map Exec.compile b.b_nodes;
               c_last = b.b_last;
               c_len = b.b_len;
               c_cost = b.b_cost;
               c_kernel_count = b.b_kernel;
+              c_shadow = b.b_shadow;
               c_fall = None;
               c_taken_addr = -1;
               c_taken = None;
@@ -177,7 +201,7 @@ let run_legacy t ~entry ~max_instructions =
     scratch.cycles <- !cycles;
     scratch.shadow_active <- shadow_active;
     for k = 0 to nobs - 1 do
-      observers.(k) scratch
+      observers.(k).on_retire scratch
     done
   in
   (* One dispatch on [control] per retirement does everything: branch
@@ -256,22 +280,30 @@ let run_legacy t ~entry ~max_instructions =
 (* ------------------------------------------------------------------ *)
 (* Superblock engine.
 
-   Two block-level specializations share the successor logic:
-
-   - [exec_armed] retires node by node with exactly the legacy loop's
-     ordering — runaway check, [st.ip], kernel, shadow/cycle/counter
-     updates, observer notification — so armed runs are bit-identical
-     to the seed loop while still dodging its mnemonic dispatch and
-     [node_at] resolution.
+   Three block bodies:
 
    - [exec_bare] runs a whole block straight-line with per-block
-     counter updates.  It is only entered when no observer is armed
-     (nothing can see intermediate cycle counts or the PMI shadow) and
-     when the whole block fits the remaining instruction budget;
-     otherwise it delegates the block to [exec_armed], whose
-     per-instruction budget check raises [Runaway] at exactly the
-     retirement the legacy loop would.  That due-by-N budgeting is
-     what keeps sampling semantics identical across engines. *)
+     counter updates.  It serves runs with no observer at all, so it
+     maintains neither the PMI shadow nor any notification state.
+
+   - With observers armed, [exec_observed] runs a block the same way
+     when it fits the remaining instruction budget and every
+     observer's [due] covers its whole length, then advances the
+     shadow horizon by the block's precomputed [c_shadow] and calls
+     each block hook once.  [due] promises that nothing the observer
+     must see one retirement at a time happens inside such a block
+     (for the PMU: no PMI pending or raised), and only the terminator
+     can be a taken branch, so the block hooks reproduce the
+     per-retirement hooks' effect exactly, PRNG draw order included.
+
+   - Otherwise, or when a bare block overruns the budget,
+     [exec_stepped] retires the block node by node with
+     exactly the legacy loop's ordering — runaway check, [st.ip],
+     kernel, shadow/cycle/counter updates, per-retirement notification
+     — so it raises [Runaway] at the retirement the legacy engine
+     would and delivers PMIs at the same points.  That due-by-N
+     budgeting is what keeps sampling semantics identical across
+     engines. *)
 
 let run_superblock t ~entry ~max_instructions =
   let st = t.st in
@@ -283,6 +315,8 @@ let run_superblock t ~entry ~max_instructions =
   let observers = Array.of_list (List.rev t.observers_rev) in
   let nobs = Array.length observers in
   let scratch = t.scratch in
+  t.blocks_batched <- 0;
+  t.blocks_stepped <- 0;
   let c0 =
     match Exec_graph.node_at t.graph entry with
     | None -> fault "entry point %#x is not mapped code" entry
@@ -312,14 +346,30 @@ let run_superblock t ~entry ~max_instructions =
       c'
     end
   in
-  let notify (node : Exec_graph.node) shadow_active =
+  let notify (node : Exec_graph.node) shadow_active src tgt =
     scratch.node <- node;
+    scratch.taken_src <- src;
+    scratch.taken_tgt <- tgt;
     scratch.retired_index <- !retired - 1;
     scratch.cycles <- !cycles;
     scratch.shadow_active <- shadow_active;
     for k = 0 to nobs - 1 do
-      observers.(k) scratch
+      (Array.unsafe_get observers k).on_retire scratch
     done
+  in
+  (* How a block's terminator is announced: per retirement when the
+     block was stepped, through the block hooks when it was batched. *)
+  let signal (c : compiled) stepped shadow_active src tgt =
+    if stepped then notify c.c_last shadow_active src tgt
+    else
+      for k = 0 to nobs - 1 do
+        (Array.unsafe_get observers k).on_block c.c_block ~src ~tgt
+          ~cycles:!cycles
+      done
+  in
+  let rec dues_cover k len =
+    k >= nobs || ((Array.unsafe_get observers k).due () >= len
+                  && dues_cover (k + 1) len)
   in
   (* Timing-model and counter updates for one retirement; returns
      whether a long-latency shadow inhibited PMI at this retirement.
@@ -336,7 +386,31 @@ let run_superblock t ~entry ~max_instructions =
     if node.kernel then incr kernel_retired;
     shadow_active
   in
-  let rec exec_armed (c : compiled) =
+  let rec exec_observed (c : compiled) =
+    if !retired + c.c_len <= max_instructions && dues_cover 0 c.c_len then begin
+      t.blocks_batched <- t.blocks_batched + 1;
+      let kernels = c.c_kernels in
+      let lastk = c.c_len - 1 in
+      for k = 0 to lastk - 1 do
+        ignore ((Array.unsafe_get kernels k) st : Exec.control)
+      done;
+      st.ip <- c.c_last.Exec_graph.addr;
+      let control = (Array.unsafe_get kernels lastk) st in
+      let cycle_before = !cycles in
+      retired := !retired + c.c_len;
+      cycles := cycle_before + c.c_cost;
+      kernel_retired := !kernel_retired + c.c_kernel_count;
+      if c.c_shadow > 0 then begin
+        let until = cycle_before + c.c_shadow in
+        if until > !shadow_until then shadow_until := until
+      end;
+      finish c control false false
+    end
+    else begin
+      t.blocks_stepped <- t.blocks_stepped + 1;
+      exec_stepped c
+    end
+  and exec_stepped (c : compiled) =
     let kernels = c.c_kernels and nodes = c.c_nodes in
     let lastk = c.c_len - 1 in
     for k = 0 to lastk - 1 do
@@ -344,74 +418,54 @@ let run_superblock t ~entry ~max_instructions =
       let node = Array.unsafe_get nodes k in
       st.ip <- node.Exec_graph.addr;
       ignore ((Array.unsafe_get kernels k) st : Exec.control);
-      let shadow_active = retire node in
-      if nobs > 0 then begin
-        scratch.taken_src <- -1;
-        scratch.taken_tgt <- -1;
-        notify node shadow_active
-      end
+      notify node (retire node) (-1) (-1)
     done;
     if !retired >= max_instructions then raise (Runaway !retired);
-    let node = c.c_last in
-    st.ip <- node.Exec_graph.addr;
+    st.ip <- c.c_last.Exec_graph.addr;
     let control = (Array.unsafe_get kernels lastk) st in
-    let shadow_active = retire node in
+    finish c control true (retire c.c_last)
+  (* The terminator's architectural effects, its notification and the
+     dispatch to the successor, shared by both observed bodies. *)
+  and finish (c : compiled) control stepped shadow_active =
+    let src = c.c_last.Exec_graph.addr in
     match control with
     | Exec.Fall ->
-        if nobs > 0 then begin
-          scratch.taken_src <- -1;
-          scratch.taken_tgt <- -1;
-          notify node shadow_active
-        end;
-        exec_armed (fall_of c)
+        signal c stepped shadow_active (-1) (-1);
+        exec_observed (fall_of c)
     | Exec.Taken tgt ->
         incr taken_branches;
-        if nobs > 0 then begin
-          scratch.taken_src <- node.addr;
-          scratch.taken_tgt <- tgt;
-          notify node shadow_active
-        end;
-        if tgt <> sentinel then exec_armed (taken_of c tgt)
+        signal c stepped shadow_active src tgt;
+        if tgt <> sentinel then exec_observed (taken_of c tgt)
     | Exec.Syscall_enter ra -> (
         match t.kernel_entry with
-        | None -> fault "SYSCALL with no kernel mapped (at %#x)" node.addr
+        | None -> fault "SYSCALL with no kernel mapped (at %#x)" src
         | Some kentry ->
             State.set_gpr st Operand.RCX (Int64.of_int ra);
             st.ring <- Ring.Kernel;
             incr taken_branches;
-            if nobs > 0 then begin
-              scratch.taken_src <- node.addr;
-              scratch.taken_tgt <- kentry;
-              notify node shadow_active
-            end;
-            exec_armed (taken_of c kentry))
+            signal c stepped shadow_active src kentry;
+            exec_observed (taken_of c kentry))
     | Exec.Sysret_exit tgt ->
         st.ring <- Ring.User;
         incr taken_branches;
-        if nobs > 0 then begin
-          scratch.taken_src <- node.addr;
-          scratch.taken_tgt <- tgt;
-          notify node shadow_active
-        end;
-        if tgt <> sentinel then exec_armed (taken_of c tgt)
-    | Exec.Halt ->
-        if nobs > 0 then begin
-          scratch.taken_src <- -1;
-          scratch.taken_tgt <- -1;
-          notify node shadow_active
-        end
+        signal c stepped shadow_active src tgt;
+        if tgt <> sentinel then exec_observed (taken_of c tgt)
+    | Exec.Halt -> signal c stepped shadow_active (-1) (-1)
   in
   let rec exec_bare (c : compiled) =
-    if !retired + c.c_len > max_instructions then
-      (* The block cannot fully retire within budget: fall back to the
-         per-instruction loop, which raises [Runaway] at the exact
-         retirement the legacy engine would. *)
-      exec_armed c
+    if !retired + c.c_len > max_instructions then begin
+      (* The block cannot fully retire within budget: step it, which
+         raises [Runaway] at the exact retirement the legacy engine
+         would. *)
+      t.blocks_stepped <- t.blocks_stepped + 1;
+      exec_stepped c
+    end
     else begin
+      t.blocks_batched <- t.blocks_batched + 1;
       (* No kernel (nor fault handler) reads [State.t.ip], so the
-         per-instruction [st.ip] stores of the armed loop are dead here;
-         the terminator's store below keeps the post-run value identical
-         to the legacy engine's. *)
+         per-instruction [st.ip] stores of the stepped body are dead
+         here; the terminator's store below keeps the post-run value
+         identical to the legacy engine's. *)
       let kernels = c.c_kernels in
       let lastk = c.c_len - 1 in
       for k = 0 to lastk - 1 do
@@ -443,7 +497,7 @@ let run_superblock t ~entry ~max_instructions =
       | Exec.Halt -> ()
     end
   in
-  if nobs > 0 then exec_armed c0 else exec_bare c0;
+  if nobs > 0 then exec_observed c0 else exec_bare c0;
   {
     retired = !retired;
     cycles = !cycles;

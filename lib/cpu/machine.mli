@@ -1,11 +1,12 @@
 (** The CPU simulator's top-level run loop.
 
-    The machine retires instructions one by one, charging cycles per the
-    timing model and notifying registered observers of every retirement.
-    Observers implement both software instrumentation (exact counting) and
-    the PMU (sampled counting) — running them side by side over a single
-    deterministic execution is what lets the experiments compare methods
-    on identical ground truth. *)
+    The machine retires instructions, charging cycles per the timing
+    model, and reports them to registered observers either one
+    retirement at a time or one whole basic block at a time (see
+    {!observer}).  Observers implement both software instrumentation
+    (exact counting) and the PMU (sampled counting) — running them side
+    by side over a single deterministic execution is what lets the
+    experiments compare methods on identical ground truth. *)
 
 open Hbbp_program
 
@@ -22,7 +23,30 @@ type retirement = {
           long-latency instruction was still in flight. *)
 }
 
-type observer = retirement -> unit
+(** An observer sees each retirement either individually through
+    [on_retire], or as part of a whole block through [on_block].
+
+    Before each basic block the superblock engine asks every observer
+    for [due ()]: how many further retirements it can let pass without
+    per-instruction visibility.  When the block fits the remaining
+    instruction budget and every [due] is at least the block's length,
+    the block executes straight-line and then each [on_block] is
+    called once with the block, its taken branch ([src]/[tgt], both -1
+    when it fell through or halted) and the cycle count after it.
+    Otherwise every member retires through [on_retire].  An observer
+    must therefore end up in the same state either way: [on_block] has
+    to apply exactly what [on_retire] would have over the block's
+    members.  The legacy engine only ever calls [on_retire]. *)
+type observer = {
+  on_retire : retirement -> unit;
+  due : unit -> int;
+  on_block :
+    Exec_graph.block -> src:int -> tgt:int -> cycles:int -> unit;
+}
+
+(** [per_instruction f] — an observer that sees every retirement
+    through [f]: its [due] is always 0. *)
+val per_instruction : (retirement -> unit) -> observer
 
 type run_stats = {
   retired : int;
@@ -64,6 +88,15 @@ val process : t -> Process.t
 
 (** O(1); the observer set is frozen when [run] starts. *)
 val add_observer : t -> observer -> unit
+
+(** Blocks the last (or current) [run] of the superblock engine
+    executed straight-line ([batched]) and retired instruction by
+    instruction ([stepped]) because an observer's [due] or the
+    instruction budget fell short of the block.  Both are 0 under
+    [Legacy]. *)
+type coverage = { batched : int; stepped : int }
+
+val coverage : t -> coverage
 
 (** [run t ~entry ()] — executes from [entry] until the entry function
     returns (to the sentinel return address) or retires [HLT].

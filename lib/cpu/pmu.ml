@@ -17,7 +17,7 @@ type sample = {
 type counter = {
   config : counter_config;
   mutable value : int;  (* progress towards the next overflow *)
-  mutable total : int64;
+  mutable total : int;
 }
 
 type pending = {
@@ -68,6 +68,9 @@ type t = {
   mutable faults : Faults.pmu_injector option;
       (* Chaos hook; [None] unless a fault plan with PMU faults is armed
          at creation, so the disarmed hot path is one field load. *)
+  stepped_only : bool;
+      (* A sampling counter's event can advance by more than 1 per
+         retirement, so no retirement may pass unseen. *)
 }
 
 let create model configs =
@@ -87,7 +90,7 @@ let create model configs =
     model;
     counters =
       Array.of_list
-        (List.map (fun config -> { config; value = 0; total = 0L }) configs);
+        (List.map (fun config -> { config; value = 0; total = 0 }) configs);
     lbr = Lbr.create ~depth:model.lbr_depth;
     prng = Prng.create ~seed:model.seed;
     samples_rev = [];
@@ -104,15 +107,25 @@ let create model configs =
     misrotated_snapshots = 0;
     dropped_records = 0;
     faults = Faults.pmu_injector ();
+    stepped_only =
+      List.exists
+        (fun c ->
+          match (c.mode, c.event) with
+          | ( Sampling _,
+              (Pmu_event.Cpu_clk_unhalted | Pmu_event.Arith_divider_cycles) )
+            ->
+              true
+          | _ -> false)
+        configs;
   }
 
-(* How much a retirement advances a counter for a given event. *)
-let increment (e : Pmu_event.t) (r : Machine.retirement) ~cycles_delta =
-  let m = r.node.instr.Instruction.mnemonic in
+(* How much retiring [m] advances a counter for an event that depends
+   on the instruction alone (0 for the branch and cycle events, which
+   depend on the retirement). *)
+let static_increment (e : Pmu_event.t) m =
   match e with
   | Pmu_event.Inst_retired_any | Pmu_event.Inst_retired_prec_dist -> 1
-  | Pmu_event.Br_inst_retired_near_taken -> if r.taken_src >= 0 then 1 else 0
-  | Pmu_event.Cpu_clk_unhalted -> cycles_delta
+  | Pmu_event.Br_inst_retired_near_taken | Pmu_event.Cpu_clk_unhalted -> 0
   | Pmu_event.Arith_divider_cycles -> (
       match Mnemonic.category m with
       | Mnemonic.Divide -> Latency.latency m
@@ -151,6 +164,48 @@ let increment (e : Pmu_event.t) (r : Machine.retirement) ~cycles_delta =
             | (Mnemonic.Sse | Mnemonic.Avx2), Mnemonic.Int_elem -> 1
             | _, _ -> 0)
         | _ -> 0)
+
+(* How much a retirement advances a counter for a given event. *)
+let increment (e : Pmu_event.t) (r : Machine.retirement) ~cycles_delta =
+  match e with
+  | Pmu_event.Br_inst_retired_near_taken -> if r.taken_src >= 0 then 1 else 0
+  | Pmu_event.Cpu_clk_unhalted -> cycles_delta
+  | _ -> static_increment e r.node.instr.Instruction.mnemonic
+
+(* Per-block sums of [static_increment] for the FP, SIMD and divider
+   events, indexed by [static_slot]; they depend on the block alone, so
+   any PMU may share them. *)
+type Exec_graph.memo += Static_counts of int array
+
+let static_events =
+  Pmu_event.
+    [| Fp_comp_ops_sse; Fp_comp_ops_avx; Fp_comp_ops_x87; Simd_int_128;
+       Arith_divider_cycles |]
+
+let static_slot (e : Pmu_event.t) =
+  match e with
+  | Pmu_event.Fp_comp_ops_sse -> 0
+  | Pmu_event.Fp_comp_ops_avx -> 1
+  | Pmu_event.Fp_comp_ops_x87 -> 2
+  | Pmu_event.Simd_int_128 -> 3
+  | Pmu_event.Arith_divider_cycles -> 4
+  | _ -> invalid_arg "Pmu.static_slot"
+
+let rec find_static_counts (b : Exec_graph.block) = function
+  | Static_counts v :: _ -> v
+  | _ :: rest -> find_static_counts b rest
+  | [] ->
+      let v =
+        Array.map
+          (fun e ->
+            Array.fold_left
+              (fun acc (n : Exec_graph.node) ->
+                acc + static_increment e n.instr.Instruction.mnemonic)
+              0 b.b_nodes)
+          static_events
+      in
+      b.b_memo <- Static_counts v :: b.b_memo;
+      v
 
 (* Mild anomaly (all branches, low rate): the buffer is mis-rotated by
    one slot — the triggering branch appears oldest, one genuine stream is
@@ -275,24 +330,26 @@ let skid_for t (e : Pmu_event.t) =
       Pmu_model.draw_skid t.prng t.model.precise_skid
   | _ -> Pmu_model.draw_skid t.prng t.model.imprecise_skid
 
-let observer t : Machine.observer =
- fun r ->
+(* LBR tracks every retired taken branch — except records lost to the
+   quirk.  The two drop draws are the only PRNG draws a retirement makes
+   while no PMI is pending and no counter overflows. *)
+let record_branch t ~src ~tgt =
+  if t.drop_next_push then begin
+    t.drop_next_push <- false;
+    t.dropped_records <- t.dropped_records + 1
+  end
+  else Lbr.push t.lbr ~src ~tgt;
+  if
+    (Pmu_model.is_quirk_branch t.model src
+    && Prng.bool t.prng t.model.quirk_drop_probability)
+    || Prng.bool t.prng t.model.global_drop_probability
+  then t.drop_next_push <- true
+
+let on_retire t (r : Machine.retirement) =
   let cycles_delta = r.cycles - t.last_cycles in
   t.last_cycles <- r.cycles;
-  (* 1. LBR tracks every retired taken branch — except records lost to
-     the quirk. *)
-  if r.taken_src >= 0 then begin
-    if t.drop_next_push then begin
-      t.drop_next_push <- false;
-      t.dropped_records <- t.dropped_records + 1
-    end
-    else Lbr.push t.lbr ~src:r.taken_src ~tgt:r.taken_tgt;
-    if
-      (Pmu_model.is_quirk_branch t.model r.taken_src
-      && Prng.bool t.prng t.model.quirk_drop_probability)
-      || Prng.bool t.prng t.model.global_drop_probability
-    then t.drop_next_push <- true
-  end;
+  (* 1. The LBR. *)
+  if r.taken_src >= 0 then record_branch t ~src:r.taken_src ~tgt:r.taken_tgt;
   (* 2. Advance pending PMIs (created at earlier retirements). *)
   if t.pendings <> [] then begin
     let still_pending = ref [] in
@@ -329,7 +386,7 @@ let observer t : Machine.observer =
     begin
       let inc = increment c.config.event r ~cycles_delta in
       if inc > 0 then begin
-        c.total <- Int64.add c.total (Int64.of_int inc);
+        c.total <- c.total + inc;
         match c.config.mode with
         | Counting -> ()
         | Sampling { period; _ } ->
@@ -373,9 +430,69 @@ let observer t : Machine.observer =
     end
   done
 
+(* Retirements that can pass unseen: none while a PMI is pending or an
+   event may jump past its period; otherwise the fewest retirements
+   until some sampling counter, advancing by at most 1 per retirement,
+   could overflow. *)
+let due t =
+  match t.pendings with
+  | _ :: _ -> 0
+  | [] when t.stepped_only -> 0
+  | [] ->
+      let d = ref max_int in
+      let counters = t.counters in
+      for idx = 0 to Array.length counters - 1 do
+        let c = Array.unsafe_get counters idx in
+        match c.config.mode with
+        | Counting -> ()
+        | Sampling { period; _ } ->
+            let left = period - c.value - 1 in
+            if left < !d then d := left
+      done;
+      !d
+
+(* A whole block under [due]: no PMI is pending or arises, so only the
+   LBR and the counters move.  Only the terminator can be a taken
+   branch, so the LBR push and its drop draws happen in the same order
+   as per retirement. *)
+let on_block t (b : Exec_graph.block) ~src ~tgt ~cycles =
+  let last_cycles = t.last_cycles in
+  t.last_cycles <- cycles;
+  if src >= 0 then record_branch t ~src ~tgt;
+  let counters = t.counters in
+  for idx = 0 to Array.length counters - 1 do
+    let c = Array.unsafe_get counters idx in
+    let inc =
+      match c.config.event with
+      | Pmu_event.Inst_retired_any | Pmu_event.Inst_retired_prec_dist ->
+          b.b_len
+      | Pmu_event.Br_inst_retired_near_taken -> if src >= 0 then 1 else 0
+      | Pmu_event.Cpu_clk_unhalted ->
+          (* Per retirement only positive deltas count; just the
+             first can be negative (a PMU carried over from an earlier
+             run), and every later one is a member's issue cost. *)
+          let first_cost = b.b_nodes.(0).Exec_graph.issue_cost in
+          let first = cycles - b.b_cost + first_cost - last_cycles in
+          if first > 0 then cycles - last_cycles else b.b_cost - first_cost
+      | e -> (find_static_counts b b.b_memo).(static_slot e)
+    in
+    c.total <- c.total + inc;
+    match c.config.mode with
+    | Counting -> ()
+    | Sampling _ -> c.value <- c.value + inc
+  done
+
+let observer t : Machine.observer =
+  {
+    on_retire = (fun r -> on_retire t r);
+    due = (fun () -> due t);
+    on_block = (fun b ~src ~tgt ~cycles -> on_block t b ~src ~tgt ~cycles);
+  }
+
 let samples t = List.rev t.samples_rev
 let counts t =
-  Array.to_list (Array.map (fun c -> (c.config.event, c.total)) t.counters)
+  Array.to_list
+    (Array.map (fun c -> (c.config.event, Int64.of_int c.total)) t.counters)
 
 let pmi_count t = t.pmi_count
 
@@ -394,7 +511,7 @@ let reset t =
   Array.iter
     (fun c ->
       c.value <- 0;
-      c.total <- 0L)
+      c.total <- 0)
     t.counters;
   Lbr.clear t.lbr;
   t.samples_rev <- [];

@@ -38,7 +38,12 @@ type t
     with its dual-LBR collection). *)
 val create : Pmu_model.t -> counter_config list -> t
 
-(** Register this PMU on a machine. *)
+(** Register this PMU on a machine.  Its [due] is 0 while a PMI is
+    pending or when a sampling counter counts cycles or divider cycles;
+    otherwise it is the fewest retirements before a sampling counter
+    could overflow (counting-mode counters never limit it).  Whole
+    blocks update the LBR and every counter at once, with the same
+    PRNG draws as per retirement. *)
 val observer : t -> Machine.observer
 
 (** Samples in delivery order. *)

@@ -1,12 +1,21 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in a byte buffer accessed through unboxed
+   primitives: a [mutable int64] field would box a fresh value on every
+   draw, and the PMU draws twice per retired taken branch. *)
+type t = { state : Bytes.t }
 
-let create ~seed = { state = seed }
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let create ~seed =
+  let state = Bytes.create 8 in
+  set64 state 0 seed;
+  { state }
 
 let golden = 0x9E3779B97F4A7C15L
 
-let next t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
+let[@inline] next t =
+  let z = Int64.add (get64 t.state 0) golden in
+  set64 t.state 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -16,7 +25,7 @@ let int t bound =
   let v = Int64.to_int (Int64.logand (next t) 0x3FFFFFFFFFFFFFFFL) in
   v mod bound
 
-let float t =
+let[@inline] float t =
   let v = Int64.shift_right_logical (next t) 11 in
   Int64.to_float v /. 9007199254740992.0 (* 2^53 *)
 

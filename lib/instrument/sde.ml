@@ -59,8 +59,8 @@ type t = {
   map_of_block : int array;  (* flat id -> index into maps *)
   local_id : int array;  (* flat id -> block id within its map *)
   counts : int array;  (* flat id -> exact execution count *)
-  histogram : int64 array;  (* indexed by mnemonic code *)
-  mutable total : int64;
+  histogram : int array;  (* indexed by mnemonic code *)
+  mutable total : int;
   mutable lost_kernel : int;
   mutable emulation_cycles : int;
   mutable native_cycles : int;
@@ -101,8 +101,8 @@ let create config maps =
     map_of_block = Array.map fst pairs;
     local_id = Array.map snd pairs;
     counts = Array.make !flat_count 0;
-    histogram = Array.make (Mnemonic.max_code + 1) 0L;
-    total = 0L;
+    histogram = Array.make (Mnemonic.max_code + 1) 0;
+    total = 0;
     lost_kernel = 0;
     emulation_cycles = 0;
     native_cycles = 0;
@@ -122,8 +122,7 @@ let flat_of_addr t addr =
   in
   find 0
 
-let observer t : Machine.observer =
- fun r ->
+let on_retire t (r : Machine.retirement) =
   let node = r.node in
   if Ring.equal node.Exec_graph.ring Ring.Kernel then begin
     (* Invisible to user-mode instrumentation; native time still passes. *)
@@ -132,8 +131,8 @@ let observer t : Machine.observer =
   end
   else begin
     let code = Mnemonic.to_code node.Exec_graph.instr.Instruction.mnemonic in
-    t.histogram.(code) <- Int64.add t.histogram.(code) 1L;
-    t.total <- Int64.add t.total 1L;
+    t.histogram.(code) <- t.histogram.(code) + 1;
+    t.total <- t.total + 1;
     t.emulation_cycles <-
       t.emulation_cycles + emulation_cost node.Exec_graph.instr;
     let flat = flat_of_addr t node.Exec_graph.addr in
@@ -143,6 +142,79 @@ let observer t : Machine.observer =
     end
   end;
   t.native_cycles <- r.cycles
+
+(* What [on_retire] adds up over one executor block, precomputed once
+   per block and tool instance. *)
+type summary = {
+  codes : int array;  (* mnemonic code of every user-mode member *)
+  kernel : int;  (* kernel-mode members *)
+  emulation : int;  (* emulation, kernel issue and probe cycles *)
+  leaders : int array;  (* flat ids of the members that lead a block *)
+}
+
+(* Tagged with the tool that computed it: the leader ids and probe
+   cycles depend on its maps and config. *)
+type Exec_graph.memo += Summary of t * summary
+
+let summarize t (b : Exec_graph.block) =
+  let codes = ref [] and kernel = ref 0 and emulation = ref 0 in
+  let leaders = ref [] in
+  Array.iter
+    (fun (node : Exec_graph.node) ->
+      if Ring.equal node.ring Ring.Kernel then begin
+        incr kernel;
+        emulation := !emulation + node.issue_cost
+      end
+      else begin
+        codes := Mnemonic.to_code node.instr.Instruction.mnemonic :: !codes;
+        emulation := !emulation + emulation_cost node.instr;
+        let flat = flat_of_addr t node.addr in
+        if flat >= 0 then begin
+          leaders := flat :: !leaders;
+          emulation := !emulation + t.config.probe_cost
+        end
+      end)
+    b.b_nodes;
+  {
+    codes = Array.of_list (List.rev !codes);
+    kernel = !kernel;
+    emulation = !emulation;
+    leaders = Array.of_list (List.rev !leaders);
+  }
+
+let rec find_summary t (b : Exec_graph.block) = function
+  | Summary (owner, s) :: _ when owner == t -> s
+  | _ :: rest -> find_summary t b rest
+  | [] ->
+      let s = summarize t b in
+      b.b_memo <- Summary (t, s) :: b.b_memo;
+      s
+
+let on_block t (b : Exec_graph.block) ~cycles =
+  let s = find_summary t b b.b_memo in
+  let histogram = t.histogram and codes = s.codes in
+  for k = 0 to Array.length codes - 1 do
+    let code = Array.unsafe_get codes k in
+    histogram.(code) <- histogram.(code) + 1
+  done;
+  t.total <- t.total + Array.length codes;
+  t.lost_kernel <- t.lost_kernel + s.kernel;
+  t.emulation_cycles <- t.emulation_cycles + s.emulation;
+  let counts = t.counts and leaders = s.leaders in
+  for k = 0 to Array.length leaders - 1 do
+    let flat = Array.unsafe_get leaders k in
+    counts.(flat) <- counts.(flat) + 1
+  done;
+  t.native_cycles <- cycles
+
+(* Exact counting needs no per-instruction visibility: every block can
+   be consumed whole. *)
+let observer t : Machine.observer =
+  {
+    on_retire = (fun r -> on_retire t r);
+    due = (fun () -> max_int);
+    on_block = (fun b ~src:_ ~tgt:_ ~cycles -> on_block t b ~cycles);
+  }
 
 let block_count t map (block : Basic_block.t) =
   match flat_of_addr t block.addr with
@@ -165,15 +237,15 @@ let histogram t =
   let out = ref [] in
   Array.iteri
     (fun code count ->
-      if Int64.compare count 0L > 0 then
+      if count > 0 then
         match Mnemonic.of_code code with
         | Some m ->
             let count =
               match t.config.bug_mnemonic with
-              | Some bug when Mnemonic.equal bug m -> Int64.div count 2L
+              | Some bug when Mnemonic.equal bug m -> count / 2
               | Some _ | None -> count
             in
-            out := (m, count) :: !out
+            out := (m, Int64.of_int count) :: !out
         | None -> ())
     t.histogram;
   List.rev !out
@@ -183,16 +255,16 @@ let total_instructions t =
      tool's internal accounting, exactly the kind of defect the paper's
      PMU cross-check caught on x264ref (footnote 2). *)
   match t.config.bug_mnemonic with
-  | None -> t.total
+  | None -> Int64.of_int t.total
   | Some bug ->
-      Int64.sub t.total (Int64.div t.histogram.(Mnemonic.to_code bug) 2L)
+      Int64.of_int (t.total - (t.histogram.(Mnemonic.to_code bug) / 2))
 let lost_kernel_instructions t = t.lost_kernel
 let instrumented_cycles t = t.emulation_cycles
 
 let reset t =
   Array.fill t.counts 0 (Array.length t.counts) 0;
-  Array.fill t.histogram 0 (Array.length t.histogram) 0L;
-  t.total <- 0L;
+  Array.fill t.histogram 0 (Array.length t.histogram) 0;
+  t.total <- 0;
   t.lost_kernel <- 0;
   t.emulation_cycles <- 0;
   t.native_cycles <- 0

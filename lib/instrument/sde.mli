@@ -35,6 +35,9 @@ type t
     images to instrument. *)
 val create : config -> Bb_map.t list -> t
 
+(** Exact counting never needs per-instruction visibility: whole
+    blocks are consumed through a summary computed once per executor
+    block and cached on it. *)
 val observer : t -> Machine.observer
 
 (** [block_count t map block] — exact execution count. *)

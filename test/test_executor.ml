@@ -37,7 +37,8 @@ let mix h v = (h * 0x1000193) lxor v
 let run_hashed engine ?max_instructions (w : Workload.t) =
   let machine = Machine.create ~process:w.Workload.live_process ~engine () in
   let hash = ref 0x811c9dc5 and retired = ref 0 in
-  Machine.add_observer machine (fun r ->
+  Machine.add_observer machine
+  @@ Machine.per_instruction (fun r ->
       incr retired;
       let h = mix !hash r.Machine.node.Exec_graph.addr in
       let h = mix h r.Machine.taken_src in
@@ -88,7 +89,7 @@ let check_pinned ~what table got =
       what (List.length moved) (List.length got) (String.concat "\n" moved)
 
 (* Compare every engine's (outcome, stream hash, retirement count)
-   against the legacy reference; returns the reference's digest. *)
+   against the legacy reference; returns the reference run. *)
 let check_differential ~what ?max_instructions (w : Workload.t) =
   let reference = run_hashed Machine.Legacy ?max_instructions w in
   List.iter
@@ -102,7 +103,7 @@ let check_differential ~what ?max_instructions (w : Workload.t) =
           (Machine.engine_name engine)
           (pp_outcome go) (pp_outcome ro) gn rn gh rh)
     engines;
-  digest_of reference
+  reference
 
 (* ------------------------------------------------------------------ *)
 (* Registry sweep: every bundled workload, budget-capped so the suite
@@ -195,7 +196,7 @@ let test_registry_differential () =
   List.map
     (fun name ->
       let w = Hbbp_workloads.Registry.find name in
-      (name, check_differential ~what:name ~max_instructions:400_000 w))
+      (name, digest_of (check_differential ~what:name ~max_instructions:400_000 w)))
     Hbbp_workloads.Registry.names
   |> check_pinned ~what:"registry sweep" pinned_registry
 
@@ -221,10 +222,9 @@ let test_bench_set_full_runs () =
   List.map
     (fun name ->
       let w = Hbbp_workloads.Registry.find name in
-      let digest = check_differential ~what:name w in
+      let ((armed, _, _) as reference) = check_differential ~what:name w in
       (* Bare runs (no observers) take the separate no-observer path;
          their stats must match the armed stats too. *)
-      let armed, _, _ = run_hashed Machine.Legacy w in
       List.iter
         (fun engine ->
           let bare = run_bare engine w in
@@ -235,12 +235,14 @@ let test_bench_set_full_runs () =
               (Machine.engine_name engine)
               (pp_outcome bare) (pp_outcome armed))
         engines;
-      (name, digest))
+      (name, digest_of reference))
     bench_set
   |> check_pinned ~what:"bench set full runs" pinned_bench_set
 
 (* Runaway budgeting: sweep awkward budgets (mid-block, block boundary,
    budget 1) and require identical truncation points. *)
+let runaway_budgets = [ 1; 2; 3; 7; 100; 1_001; 65_537 ]
+
 let test_runaway_budgets () =
   let w = Hbbp_workloads.Registry.find "hello" in
   List.iter
@@ -249,8 +251,8 @@ let test_runaway_budgets () =
         (check_differential
            ~what:(Printf.sprintf "hello budget=%d" budget)
            ~max_instructions:budget w
-          : string))
-    [ 1; 2; 3; 7; 100; 1_001; 65_537 ]
+          : outcome * int * int))
+    runaway_budgets
 
 (* ------------------------------------------------------------------ *)
 (* Archive and reconstruction identity through the pipeline.           *)
@@ -305,16 +307,20 @@ let profiles_equal (a : Pipeline.profile) (b : Pipeline.profile) =
   && compare a.quality b.quality = 0
 
 let test_reconstructions_identical () =
-  let w = Hbbp_workloads.Registry.find "hello" in
-  let reference = Pipeline.run ~config:(config_for Machine.Legacy) w in
   List.iter
-    (fun engine ->
-      let p = Pipeline.run ~config:(config_for engine) w in
-      checkb
-        (Printf.sprintf "%s profile equals legacy" (Machine.engine_name engine))
-        true
-        (profiles_equal p reference))
-    engines
+    (fun name ->
+      let w = Hbbp_workloads.Registry.find name in
+      let reference = Pipeline.run ~config:(config_for Machine.Legacy) w in
+      List.iter
+        (fun engine ->
+          let p = Pipeline.run ~config:(config_for engine) w in
+          checkb
+            (Printf.sprintf "%s: %s profile equals legacy" name
+               (Machine.engine_name engine))
+            true
+            (profiles_equal p reference))
+        engines)
+    bench_set
 
 (* ------------------------------------------------------------------ *)
 (* Seeded random-program fuzz: synthetic workloads spanning the
@@ -344,19 +350,283 @@ let fuzz_params seed =
       };
   }
 
+let fuzz_workloads =
+  List.init 12 (fun i ->
+      let seed = Int64.of_int ((i * 0x9e3779b9) + 1) in
+      let name = Printf.sprintf "fuzz%d" i in
+      let ctx = Hbbp_workloads.Codegen.create_ctx ~seed in
+      let funcs =
+        Hbbp_workloads.Codegen.synthetic_funcs ctx ~name:("f_" ^ name)
+          ~helpers:(1 + (i mod 3))
+          (fuzz_params seed)
+      in
+      Hbbp_workloads.Codegen.user_workload ~name funcs)
+
 let test_fuzz_random_programs () =
-  for i = 0 to 11 do
-    let seed = Int64.of_int ((i * 0x9e3779b9) + 1) in
-    let name = Printf.sprintf "fuzz%d" i in
-    let ctx = Hbbp_workloads.Codegen.create_ctx ~seed in
-    let funcs =
-      Hbbp_workloads.Codegen.synthetic_funcs ctx ~name:("f_" ^ name)
-        ~helpers:(1 + (i mod 3))
-        (fuzz_params seed)
+  List.iter
+    (fun (w : Workload.t) ->
+      ignore
+        (check_differential ~what:w.Workload.name w : outcome * int * int))
+    fuzz_workloads
+
+(* ------------------------------------------------------------------ *)
+(* Block-granular observers.  The hashed observer above sees every
+   retirement, so it always steps; these runs arm the real observers,
+   whose [due] lets whole blocks through, and compare everything they
+   record against the legacy loop.                                     *)
+
+let run_outcome machine ?max_instructions (w : Workload.t) =
+  match Machine.run machine ~entry:w.Workload.entry ?max_instructions () with
+  | stats -> Finished stats
+  | exception Machine.Runaway n -> Ran_away n
+  | exception Machine.Machine_fault msg -> Faulted msg
+
+(* Archive bytes of a budget-capped collection at sampling periods of
+   7 instructions and 3 taken branches: PMIs, pending skids and shadow
+   slides straddle block boundaries all the time, so runs alternate
+   between whole blocks and stepped ones. *)
+let tight_archive engine (w : Workload.t) =
+  let machine = Machine.create ~process:w.Workload.live_process ~engine () in
+  let session =
+    Hbbp_collector.Session.configure Pmu_model.default
+      { Hbbp_collector.Period.ebs = 7; lbr = 3 }
+  in
+  Machine.add_observer machine
+    (Pmu.observer (Hbbp_collector.Session.pmu session));
+  let outcome = run_outcome machine ~max_instructions:30_000 w in
+  let archive =
+    Hbbp_collector.Perf_data.of_session ~workload_name:w.Workload.name
+      ~session ~analysis:w.Workload.analysis_process
+      ~live:w.Workload.live_process
+  in
+  (outcome, Hbbp_collector.Perf_data.to_bytes archive)
+
+let tight_workloads () =
+  List.map Hbbp_workloads.Registry.find
+    [ "mcf"; "test40"; "train-shadow"; "hello" ]
+  @ fuzz_workloads
+
+let check_tight_archives ~what =
+  List.iter
+    (fun (w : Workload.t) ->
+      let ro, rb = tight_archive Machine.Legacy w in
+      List.iter
+        (fun engine ->
+          let go, gb = tight_archive engine w in
+          if go <> ro || not (Bytes.equal gb rb) then
+            Alcotest.failf "%s %s: %s archive differs from legacy (%s / %s)"
+              what w.Workload.name
+              (Machine.engine_name engine)
+              (pp_outcome go) (pp_outcome ro))
+        engines)
+    (tight_workloads ())
+
+let test_tight_periods () = check_tight_archives ~what:"tight periods"
+
+let test_tight_periods_faults () =
+  let plan =
+    match
+      Hbbp_faults.Fault_plan.of_string
+        "seed=7,pmu.drop=0.05,pmu.burst_every=50,pmu.burst_len=4,pmu.skid=2,\
+         pmu.jitter=3,lbr.truncate=8,lbr.stuck=0.05,lbr.misrotate=0.05"
+    with
+    | Ok p -> p
+    | Error msg -> Alcotest.failf "bad plan: %s" msg
+  in
+  Hbbp_faults.Faults.arm plan;
+  Fun.protect
+    ~finally:(fun () ->
+      Hbbp_faults.Faults.disarm ();
+      Hbbp_faults.Faults.reset_tally ())
+    (fun () -> check_tight_archives ~what:"tight periods + PMU faults")
+
+(* Every observer kind at once: the SDE over the user images, the
+   collector's sampling session, and counting PMUs over every event, so
+   the per-block count vectors are exercised too.  [cycle_sampler] adds
+   a PMU sampling cycles, which must keep every block stepped. *)
+type armed = { sde : Hbbp_instrument.Sde.t; pmus : Pmu.t list }
+
+let arm_all ?(cycle_sampler = false) (w : Workload.t) =
+  let maps =
+    List.filter_map
+      (fun (img : Hbbp_program.Image.t) ->
+        if Hbbp_program.Ring.equal img.ring Hbbp_program.Ring.User then
+          Some (Hbbp_program.Bb_map.of_image_exn img)
+        else None)
+      (Hbbp_program.Process.images w.Workload.live_process)
+  in
+  let counting events =
+    Pmu.create Pmu_model.default
+      (List.map (fun event -> { Pmu.event; mode = Pmu.Counting }) events)
+  in
+  let session =
+    Hbbp_collector.Session.configure Pmu_model.default
+      (Hbbp_collector.Period.simulation w.Workload.runtime_class)
+  in
+  {
+    sde = Hbbp_instrument.Sde.create Hbbp_instrument.Sde.default_config maps;
+    pmus =
+      [
+        Hbbp_collector.Session.pmu session;
+        Pmu_event.(
+          counting
+            [ Cpu_clk_unhalted; Fp_comp_ops_sse; Fp_comp_ops_x87;
+              Arith_divider_cycles ]);
+        Pmu_event.(
+          counting
+            [ Fp_comp_ops_avx; Simd_int_128; Inst_retired_any;
+              Br_inst_retired_near_taken ]);
+      ]
+      @
+      if cycle_sampler then
+        [
+          Pmu.create Pmu_model.default
+            [
+              {
+                Pmu.event = Pmu_event.Cpu_clk_unhalted;
+                mode = Pmu.Sampling { period = 997; lbr = false };
+              };
+            ];
+        ]
+      else [];
+  }
+
+let attach machine a =
+  Machine.add_observer machine (Hbbp_instrument.Sde.observer a.sde);
+  List.iter (fun p -> Machine.add_observer machine (Pmu.observer p)) a.pmus
+
+let reset a =
+  Hbbp_instrument.Sde.reset a.sde;
+  List.iter Pmu.reset a.pmus
+
+(* Everything the observers recorded, in comparable form. *)
+let observed a =
+  let module Sde = Hbbp_instrument.Sde in
+  ( List.map (fun p -> (Pmu.samples p, Pmu.health p, Pmu.counts p)) a.pmus,
+    List.map
+      (fun (_, (b : Hbbp_program.Basic_block.t), n) -> (b.addr, n))
+      (Sde.block_counts a.sde),
+    ( Sde.histogram a.sde,
+      Sde.total_instructions a.sde,
+      Sde.lost_kernel_instructions a.sde,
+      Sde.instrumented_cycles a.sde ) )
+
+let armed_run engine ?cycle_sampler ?max_instructions (w : Workload.t) =
+  let machine = Machine.create ~process:w.Workload.live_process ~engine () in
+  let a = arm_all ?cycle_sampler w in
+  attach machine a;
+  let outcome = run_outcome machine ?max_instructions w in
+  ((outcome, observed a), Machine.coverage machine)
+
+let test_armed_runaway_budgets () =
+  let w = Hbbp_workloads.Registry.find "hello" in
+  List.iter
+    (fun cycle_sampler ->
+      List.iter
+        (fun budget ->
+          let (ro, rs), _ =
+            armed_run Machine.Legacy ~cycle_sampler ~max_instructions:budget w
+          in
+          List.iter
+            (fun engine ->
+              let (go, gs), coverage =
+                armed_run engine ~cycle_sampler ~max_instructions:budget w
+              in
+              if cycle_sampler && coverage.Machine.batched > 0 then
+                Alcotest.failf "hello budget=%d: %d blocks batched under a \
+                                cycle sampler"
+                  budget coverage.Machine.batched;
+              if go <> ro || compare gs rs <> 0 then
+                Alcotest.failf
+                  "hello budget=%d%s: armed %s run differs from legacy (%s / \
+                   %s)"
+                  budget
+                  (if cycle_sampler then " + cycle sampler" else "")
+                  (Machine.engine_name engine)
+                  (pp_outcome go) (pp_outcome ro))
+            engines)
+        runaway_budgets)
+    [ false; true ]
+
+(* One set of observers carried through [reset], a second run of the
+   same machine (whose blocks already hold the observers' summaries),
+   a second machine, and a run without [reset], which accumulates onto
+   the previous one.  A machine's memory persists across its runs, so
+   the reference replays the same steps under the legacy loop. *)
+let test_observer_reuse () =
+  let w = Hbbp_workloads.Registry.find "test40" in
+  let max_instructions = 200_000 in
+  let replay engine =
+    let a = arm_all w in
+    let machine () =
+      let m = Machine.create ~process:w.Workload.live_process ~engine () in
+      attach m a;
+      m
     in
-    let w = Hbbp_workloads.Codegen.user_workload ~name funcs in
-    ignore (check_differential ~what:name w : string)
-  done
+    let step m =
+      let outcome = run_outcome m ~max_instructions w in
+      (outcome, observed a)
+    in
+    let m1 = machine () in
+    let first = step m1 in
+    reset a;
+    let same_machine = step m1 in
+    reset a;
+    let m2 = machine () in
+    let second_machine = step m2 in
+    let no_reset = step m2 in
+    (* Alone, a counting PMU lets the first block of its next run
+       through whole, starting from the previous run's cycle count. *)
+    let clock =
+      Pmu.create Pmu_model.default
+        [ { Pmu.event = Pmu_event.Cpu_clk_unhalted; mode = Pmu.Counting } ]
+    in
+    let m3 = Machine.create ~process:w.Workload.live_process ~engine () in
+    Machine.add_observer m3 (Pmu.observer clock);
+    let clock_runs =
+      List.init 2 (fun _ ->
+          let outcome = run_outcome m3 ~max_instructions w in
+          (outcome, Pmu.counts clock))
+    in
+    ( [
+        ("first run", first);
+        ("after reset, same machine", same_machine);
+        ("after reset, second machine", second_machine);
+        ("no reset", no_reset);
+      ],
+      clock_runs )
+  in
+  let got, got_clock = replay Machine.Superblock
+  and expected, expected_clock = replay Machine.Legacy in
+  List.iter2
+    (fun (what, got) (_, expected) ->
+      checkb what true (compare got expected = 0))
+    got expected;
+  checkb "counting PMU without reset" true
+    (compare got_clock expected_clock = 0)
+
+(* Executor coverage through the metrics registry: on [collect hello]
+   nearly every block runs whole. *)
+let test_collect_coverage () =
+  let module Metrics = Hbbp_telemetry.Metrics in
+  Metrics.reset ();
+  Metrics.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.disable ();
+      Metrics.reset ())
+    (fun () ->
+      let w = Hbbp_workloads.Registry.find "hello" in
+      ignore (Pipeline.collect_archive w : Hbbp_collector.Perf_data.t);
+      let value name = Metrics.counter_value (Metrics.counter name) in
+      let batched = value "exec.blocks_batched"
+      and stepped = value "exec.blocks_stepped" in
+      Alcotest.(check int) "exec.retired" 18_356_005 (value "exec.retired");
+      checkb
+        (Printf.sprintf "%d of %d blocks stepped (< 5%%)" stepped
+           (batched + stepped))
+        true
+        (stepped > 0 && stepped * 20 < batched + stepped))
 
 (* ------------------------------------------------------------------ *)
 
@@ -381,5 +651,17 @@ let () =
       ( "fuzz",
         [
           Alcotest.test_case "random programs" `Quick test_fuzz_random_programs;
+        ] );
+      ( "block observers",
+        [
+          Alcotest.test_case "archives at periods 7/3" `Quick
+            test_tight_periods;
+          Alcotest.test_case "archives at periods 7/3 + PMU faults" `Quick
+            test_tight_periods_faults;
+          Alcotest.test_case "armed runaway budget sweep" `Quick
+            test_armed_runaway_budgets;
+          Alcotest.test_case "observer reuse" `Quick test_observer_reuse;
+          Alcotest.test_case "collect coverage metrics" `Quick
+            test_collect_coverage;
         ] );
     ]
