@@ -23,96 +23,169 @@ let default_params =
   { min_snapshots = 30; min_entry0 = 8; min_entry0_share = 0.04;
     share_factor = 1.25; min_failures = 12; failure_rate = 0.10 }
 
-(* Detection is two-pass.  Pass one (the accumulator below) gathers
-   per-branch integer tallies — entry[0] sightings, deep sightings,
-   adjacent and failed streams — which merge across shards with plain
-   addition, exactly.  Pass two (contamination, inside [finalize]) needs
-   the snapshots again, but only runs when pass one flagged something:
-   callers provide a {e replay} of the snapshot stream, which a
-   streaming pipeline satisfies by re-reading its archives. *)
+(* Detection works from one pass over the snapshots.  The accumulator
+   below gathers per-branch integer tallies — entry[0] sightings, deep
+   sightings, adjacent and failed streams — which merge across shards
+   with plain addition, exactly.  It also keeps the distinct record
+   pairs it saw as triples (owner, target, src): [owner] and [target]
+   are one record's source and target, [src] the next record's source,
+   so [target → src] is the stream between them.  Contamination (inside
+   [finalize]) needs nothing more than those triples, so the snapshots
+   are never read twice.
+
+   [add] walks each distinct stream once ({!Stream_walk.Memo}) and
+   counts per triple id; [expand] turns those counts into the
+   per-branch tallies and the triple set, which is the state [export],
+   [merge] and [finalize] read. *)
 module Acc = struct
   type acc = {
+    streams : Stream_walk.Memo.memo;
+    triples : Pair_table.t;  (** (owner, stream id) -> triple id. *)
+    mutable triple_counts : int array;  (** By triple id. *)
     entry0 : (int, int) Hashtbl.t;
+    (* Expanded state carried over by [import] and [merge]. *)
     deep : (int, int) Hashtbl.t;
     adjacent : (int, int) Hashtbl.t;
     failed : (int, int) Hashtbl.t;
+    seen : (int * int * int, unit) Hashtbl.t;
     mutable snapshots : int;
     mutable deep_total : int;
   }
 
-  let create () =
+  let make ~entry0 ~deep ~adjacent ~failed ~seen ~snapshots ~deep_total =
     {
-      entry0 = Hashtbl.create 256;
-      deep = Hashtbl.create 1024;
-      adjacent = Hashtbl.create 1024;
-      failed = Hashtbl.create 1024;
-      snapshots = 0;
-      deep_total = 0;
+      streams = Stream_walk.Memo.create ();
+      triples = Pair_table.create ();
+      triple_counts = [||];
+      entry0;
+      deep;
+      adjacent;
+      failed;
+      seen;
+      snapshots;
+      deep_total;
     }
 
-  let bump table key =
-    Hashtbl.replace table key
-      (1 + Option.value ~default:0 (Hashtbl.find_opt table key))
+  let create () =
+    make ~entry0:(Hashtbl.create 256) ~deep:(Hashtbl.create 16)
+      ~adjacent:(Hashtbl.create 16) ~failed:(Hashtbl.create 16)
+      ~seen:(Hashtbl.create 16) ~snapshots:0 ~deep_total:0
 
-  (* Per branch: how many streams START at one of its records, and how
-     many of those cannot be walked.  A missing LBR record after a branch
-     merges the following stream, which then usually fails to walk — a
-     high failure rate is the observable signature of record loss. *)
+  let bump_by table key n =
+    match Hashtbl.find table key with
+    | m -> Hashtbl.replace table key (m + n)
+    | exception Not_found -> Hashtbl.add table key n
+
+  let count_triple acc ~owner stream =
+    let id =
+      match Pair_table.find acc.triples owner stream with
+      | -1 -> Pair_table.add acc.triples owner stream
+      | id -> id
+    in
+    if id = Array.length acc.triple_counts then begin
+      let grown = Array.make (max 32 (2 * id)) 0 in
+      Array.blit acc.triple_counts 0 grown 0 id;
+      acc.triple_counts <- grown
+    end;
+    acc.triple_counts.(id) <- acc.triple_counts.(id) + 1
+
   let add static acc (s : Sample_db.lbr_sample) =
     let n = Array.length s.entries in
     if n >= 2 then begin
       acc.snapshots <- acc.snapshots + 1;
-      bump acc.entry0 s.entries.(0).Hbbp_cpu.Lbr.src;
+      bump_by acc.entry0 s.entries.(0).Hbbp_cpu.Lbr.src 1;
+      acc.deep_total <- acc.deep_total + (n - 1);
       for k = 1 to n - 1 do
-        bump acc.deep s.entries.(k).Hbbp_cpu.Lbr.src;
-        acc.deep_total <- acc.deep_total + 1;
-        let owner = s.entries.(k - 1).Hbbp_cpu.Lbr.src in
-        bump acc.adjacent owner;
-        match
-          Stream_walk.walk static ~target:s.entries.(k - 1).Hbbp_cpu.Lbr.tgt
+        let stream =
+          Stream_walk.Memo.intern acc.streams static
+            ~target:s.entries.(k - 1).Hbbp_cpu.Lbr.tgt
             ~src:s.entries.(k).Hbbp_cpu.Lbr.src
-        with
-        | Stream_walk.Blocks _ -> ()
-        | Stream_walk.Inconsistent | Stream_walk.Bad -> bump acc.failed owner
+        in
+        count_triple acc ~owner:s.entries.(k - 1).Hbbp_cpu.Lbr.src stream
       done
     end
 
-  let merge a b =
-    let sum src dst =
-      let out = Hashtbl.copy dst in
-      Hashtbl.iter
-        (fun key n ->
-          Hashtbl.replace out key
-            (n + Option.value ~default:0 (Hashtbl.find_opt out key)))
-        src;
-      out
+  (* Per branch: deep sightings, and how many streams START at one of
+     its records and how many of those cannot be walked.  A missing LBR
+     record after a branch merges the following stream, which then
+     usually fails to walk — a high failure rate is the observable
+     signature of record loss.  Fresh tables. *)
+  type expanded = {
+    x_entry0 : (int, int) Hashtbl.t;
+    x_deep : (int, int) Hashtbl.t;
+    x_adjacent : (int, int) Hashtbl.t;
+    x_failed : (int, int) Hashtbl.t;
+    x_seen : (int * int * int, unit) Hashtbl.t;
+  }
+
+  let expand acc =
+    let x =
+      {
+        x_entry0 = Hashtbl.copy acc.entry0;
+        x_deep = Hashtbl.copy acc.deep;
+        x_adjacent = Hashtbl.copy acc.adjacent;
+        x_failed = Hashtbl.copy acc.failed;
+        x_seen = Hashtbl.copy acc.seen;
+      }
     in
-    {
-      entry0 = sum b.entry0 a.entry0;
-      deep = sum b.deep a.deep;
-      adjacent = sum b.adjacent a.adjacent;
-      failed = sum b.failed a.failed;
-      snapshots = a.snapshots + b.snapshots;
-      deep_total = a.deep_total + b.deep_total;
-    }
+    for id = 0 to Pair_table.length acc.triples - 1 do
+      let c = acc.triple_counts.(id) in
+      let owner = Pair_table.fst acc.triples id
+      and stream = Pair_table.snd acc.triples id in
+      let target = Stream_walk.Memo.target acc.streams stream
+      and src = Stream_walk.Memo.src acc.streams stream in
+      bump_by x.x_deep src c;
+      bump_by x.x_adjacent owner c;
+      (match Stream_walk.Memo.result acc.streams stream with
+      | Stream_walk.Blocks _ -> ()
+      | Stream_walk.Inconsistent | Stream_walk.Bad ->
+          bump_by x.x_failed owner c);
+      Hashtbl.replace x.x_seen (owner, target, src) ()
+    done;
+    x
+
+  let merge a b =
+    let xa = expand a and xb = expand b in
+    let sum src dst =
+      Hashtbl.iter (fun key n -> bump_by dst key n) src;
+      dst
+    in
+    Hashtbl.iter (fun t () -> Hashtbl.replace xa.x_seen t ()) xb.x_seen;
+    make
+      ~entry0:(sum xb.x_entry0 xa.x_entry0)
+      ~deep:(sum xb.x_deep xa.x_deep)
+      ~adjacent:(sum xb.x_adjacent xa.x_adjacent)
+      ~failed:(sum xb.x_failed xa.x_failed)
+      ~seen:xa.x_seen
+      ~snapshots:(a.snapshots + b.snapshots)
+      ~deep_total:(a.deep_total + b.deep_total)
+
+  let distinct_streams acc =
+    let streams = Hashtbl.create 256 in
+    Hashtbl.iter
+      (fun (_, target, src) () -> Hashtbl.replace streams (target, src) ())
+      (expand acc).x_seen;
+    Hashtbl.length streams
 
   (* Checkpoint support.  Tables export as key-sorted assoc lists, so
      the serialized form is deterministic however the table was
-     populated; [finalize] sorts its stats anyway, so import order
-     cannot perturb results. *)
+     populated; [finalize] sorts its stats anyway, and contamination
+     only sets flags, so import order cannot perturb results. *)
   type repr = {
     r_entry0 : (int * int) list;
     r_deep : (int * int) list;
     r_adjacent : (int * int) list;
     r_failed : (int * int) list;
+    r_triples : (int * int * int) list;
     r_snapshots : int;
     r_deep_total : int;
   }
 
+  let sorted_keys table =
+    List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) table [])
+
   let sorted_bindings table =
-    List.sort
-      (fun (a, _) (b, _) -> compare (a : int) b)
-      (Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [])
+    List.map (fun k -> (k, Hashtbl.find table k)) (sorted_keys table)
 
   let table_of_bindings bindings =
     let t = Hashtbl.create (max 16 (List.length bindings)) in
@@ -120,27 +193,28 @@ module Acc = struct
     t
 
   let export acc =
+    let x = expand acc in
     {
-      r_entry0 = sorted_bindings acc.entry0;
-      r_deep = sorted_bindings acc.deep;
-      r_adjacent = sorted_bindings acc.adjacent;
-      r_failed = sorted_bindings acc.failed;
+      r_entry0 = sorted_bindings x.x_entry0;
+      r_deep = sorted_bindings x.x_deep;
+      r_adjacent = sorted_bindings x.x_adjacent;
+      r_failed = sorted_bindings x.x_failed;
+      r_triples = sorted_keys x.x_seen;
       r_snapshots = acc.snapshots;
       r_deep_total = acc.deep_total;
     }
 
   let import r =
-    {
-      entry0 = table_of_bindings r.r_entry0;
-      deep = table_of_bindings r.r_deep;
-      adjacent = table_of_bindings r.r_adjacent;
-      failed = table_of_bindings r.r_failed;
-      snapshots = r.r_snapshots;
-      deep_total = r.r_deep_total;
-    }
+    make ~entry0:(table_of_bindings r.r_entry0)
+      ~deep:(table_of_bindings r.r_deep)
+      ~adjacent:(table_of_bindings r.r_adjacent)
+      ~failed:(table_of_bindings r.r_failed)
+      ~seen:(table_of_bindings (List.map (fun t -> (t, ())) r.r_triples))
+      ~snapshots:r.r_snapshots ~deep_total:r.r_deep_total
 end
 
-let finalize ?(params = default_params) static (acc : Acc.acc) ~replay =
+let finalize ?(params = default_params) static (acc : Acc.acc) =
+  let x = Acc.expand acc in
   let flags = Array.make (Static.total_blocks static) false in
   let flagged_srcs = Hashtbl.create 16 in
   let stats = ref [] in
@@ -148,7 +222,7 @@ let finalize ?(params = default_params) static (acc : Acc.acc) ~replay =
     Hashtbl.iter
       (fun src entry0_count ->
         let deep_count =
-          Option.value ~default:0 (Hashtbl.find_opt acc.Acc.deep src)
+          Option.value ~default:0 (Hashtbl.find_opt x.Acc.x_deep src)
         in
         let entry0_share =
           float_of_int entry0_count /. float_of_int acc.Acc.snapshots
@@ -158,10 +232,10 @@ let finalize ?(params = default_params) static (acc : Acc.acc) ~replay =
           else float_of_int deep_count /. float_of_int acc.Acc.deep_total
         in
         let adjacent_streams =
-          Option.value ~default:0 (Hashtbl.find_opt acc.Acc.adjacent src)
+          Option.value ~default:0 (Hashtbl.find_opt x.Acc.x_adjacent src)
         in
         let failed_streams =
-          Option.value ~default:0 (Hashtbl.find_opt acc.Acc.failed src)
+          Option.value ~default:0 (Hashtbl.find_opt x.Acc.x_failed src)
         in
         stats :=
           { src; entry0_count; deep_count; entry0_share; deep_share;
@@ -184,55 +258,49 @@ let finalize ?(params = default_params) static (acc : Acc.acc) ~replay =
           | Some gid -> flags.(gid) <- true
           | None -> ()
         end)
-      acc.Acc.entry0;
+      x.Acc.x_entry0;
   (* Contamination spreads beyond the anomalous branch itself: every
      count whose supporting stream is ADJACENT to a record of a flagged
      branch (ends at its source, or starts at its target) is suspect.
      Flag the blocks those streams visit, so HBBP can route the whole
      neighbourhood away from LBR data. *)
-  let contaminate (s : Sample_db.lbr_sample) =
-    let n = Array.length s.entries in
-    let flag_forward_from addr limit =
-      (* Flag the layout neighbourhood following [addr] — used when a
-         suspect stream cannot even be walked. *)
-      match Static.find_starting static addr with
-      | None -> ()
-      | Some gid0 ->
-          let rec go gid k =
-            if k < limit then begin
-              flags.(gid) <- true;
-              match Static.next_in_layout static gid with
-              | Some next -> go next (k + 1)
-              | None -> ()
-            end
-          in
-          go gid0 0
-    in
-    let flag_walk ~target ~src =
-      match Stream_walk.walk static ~target ~src with
-      | Stream_walk.Blocks gids ->
-          List.iter (fun gid -> flags.(gid) <- true) gids
-      | Stream_walk.Inconsistent | Stream_walk.Bad ->
-          flag_forward_from target 4;
-          Option.iter
-            (fun gid -> flags.(gid) <- true)
-            (Static.find static src)
-    in
-    for k = 0 to n - 1 do
-      if Hashtbl.mem flagged_srcs s.entries.(k).Hbbp_cpu.Lbr.src then begin
-        (* Stream ending at this record. *)
-        if k >= 1 then
-          flag_walk ~target:s.entries.(k - 1).Hbbp_cpu.Lbr.tgt
-            ~src:s.entries.(k).Hbbp_cpu.Lbr.src;
-        (* Stream starting at this record's target. *)
-        if k + 1 < n then
-          flag_walk ~target:s.entries.(k).Hbbp_cpu.Lbr.tgt
-            ~src:s.entries.(k + 1).Hbbp_cpu.Lbr.src
-      end
-    done
+  let flag_forward_from addr limit =
+    (* Flag the layout neighbourhood following [addr] — used when a
+       suspect stream cannot even be walked. *)
+    match Static.find_starting static addr with
+    | None -> ()
+    | Some gid0 ->
+        let rec go gid k =
+          if k < limit then begin
+            flags.(gid) <- true;
+            match Static.next_in_layout static gid with
+            | Some next -> go next (k + 1)
+            | None -> ()
+          end
+        in
+        go gid0 0
   in
+  let flag_walk ~target ~src =
+    match Stream_walk.walk static ~target ~src with
+    | Stream_walk.Blocks gids ->
+        List.iter (fun gid -> flags.(gid) <- true) gids
+    | Stream_walk.Inconsistent | Stream_walk.Bad ->
+        flag_forward_from target 4;
+        Option.iter
+          (fun gid -> flags.(gid) <- true)
+          (Static.find static src)
+  in
+  (* Every stream adjacent to a record of a flagged branch: the stream
+     ending at that record (a triple whose [src] is flagged) and the one
+     starting at its target (a triple whose owner is flagged).  Flags
+     only accumulate, so visiting each distinct triple once flags
+     exactly what walking every snapshot would. *)
   if Hashtbl.length flagged_srcs > 0 then
-    Option.iter (fun iter -> iter contaminate) replay;
+    Hashtbl.iter
+      (fun (owner, target, src) () ->
+        if Hashtbl.mem flagged_srcs owner || Hashtbl.mem flagged_srcs src then
+          flag_walk ~target ~src)
+      x.Acc.x_seen;
   (* One hop along static control flow: a suspect stream's distortion
      spills onto the blocks its endpoints branch to. *)
   if Hashtbl.length flagged_srcs > 0 then begin
@@ -282,7 +350,7 @@ let finalize ?(params = default_params) static (acc : Acc.acc) ~replay =
 let detect ?params static samples =
   let acc = Acc.create () in
   Array.iter (Acc.add static acc) samples;
-  finalize ?params static acc ~replay:(Some (fun f -> Array.iter f samples))
+  finalize ?params static acc
 
 let flagged_blocks t =
   let out = ref [] in

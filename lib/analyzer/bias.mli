@@ -43,9 +43,12 @@ type params = {
 
 val default_params : params
 
-(** Pass-one accumulator: per-branch integer tallies (entry[0]/deep
-    sightings, adjacent/failed streams).  Merges across shards with
-    plain addition — exactly associative and commutative. *)
+(** Accumulator: per-branch integer tallies (entry[0]/deep sightings,
+    adjacent/failed streams) and the distinct record-pair triples
+    [(owner, target, src)] — one record's source and target and the next
+    record's source — that contamination reads.  Each distinct stream is
+    walked once per accumulator.  Merges across shards with plain
+    addition and set union — exactly associative and commutative. *)
 module Acc : sig
   type acc
 
@@ -55,15 +58,20 @@ module Acc : sig
   (** Pure: returns a fresh accumulator, inputs are unchanged. *)
   val merge : acc -> acc -> acc
 
+  (** Distinct [(target, src)] streams among the triples seen. *)
+  val distinct_streams : acc -> int
+
   (** Checkpoint support: per-branch tallies as key-sorted assoc lists
-      (deterministic serialization); [import (export acc)] is
-      behaviourally identical to [acc] — [finalize] sorts its stats,
-      so table iteration order never reaches the output. *)
+      and the sorted triple set (deterministic serialization);
+      [import (export acc)] is behaviourally identical to [acc] —
+      [finalize] sorts its stats and contamination only sets flags, so
+      table iteration order never reaches the output. *)
   type repr = {
     r_entry0 : (int * int) list;
     r_deep : (int * int) list;
     r_adjacent : (int * int) list;
     r_failed : (int * int) list;
+    r_triples : (int * int * int) list;
     r_snapshots : int;
     r_deep_total : int;
   }
@@ -72,22 +80,14 @@ module Acc : sig
   val import : repr -> acc
 end
 
-(** [finalize static acc ~replay] — resolve flags from the merged
-    tallies, then (only when something was flagged) run the
-    contamination pass over the snapshots again via [replay] — an
-    iterator re-yielding the accumulated snapshots in order.  With
-    [replay = None] contamination is skipped: only the flagged branches'
-    own blocks (plus the static one-hop spill) are marked.  Branch stats
-    are sorted by entry[0] share with a source-address tiebreak, so the
-    result is deterministic however the accumulator was assembled. *)
-val finalize :
-  ?params:params ->
-  Static.t ->
-  Acc.acc ->
-  replay:((Sample_db.lbr_sample -> unit) -> unit) option ->
-  t
+(** [finalize static acc] — resolve flags from the merged tallies, then
+    contaminate: every stream adjacent to a record of a flagged branch
+    (a triple whose owner or [src] is flagged) has its blocks flagged,
+    plus a static one-hop spill.  Branch stats are sorted by entry[0]
+    share with a source-address tiebreak, so the result is
+    deterministic however the accumulator was assembled. *)
+val finalize : ?params:params -> Static.t -> Acc.acc -> t
 
-(** One-shot detection; equals accumulate + [finalize] with an in-memory
-    replay. *)
+(** One-shot detection: accumulate + [finalize]. *)
 val detect : ?params:params -> Static.t -> Sample_db.lbr_sample array -> t
 val flagged_blocks : t -> int list

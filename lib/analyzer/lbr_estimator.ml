@@ -17,11 +17,25 @@ type t = {
    snapshots).  Integer rows merge exactly (associative and
    commutative), and [finalize] converts rows to weights in a fixed
    order (ascending k), so any partition of the snapshot stream yields
-   bit-identical results. *)
+   bit-identical results.
+
+   A snapshot repeats the same few hundred streams many thousand times,
+   so [add] does not walk them: it interns each stream's (target, src)
+   pair ({!Stream_walk.Memo}, one walk per distinct stream) and counts
+   per (k, stream id).  [expand] spreads those counts over the blocks
+   each stream visits, giving exactly the per-block rows a walk per
+   stream would have tallied; [export], [merge] and [finalize] read the
+   expanded rows. *)
 module Acc = struct
   type acc = {
     total_blocks : int;
-    mutable by_k : int array array;  (** Index k; row [|.|] = unused. *)
+    streams : Stream_walk.Memo.memo;
+    mutable counts : int array array;
+        (** [counts.(k).(id)]: usable stream [id] seen in a snapshot with
+            [k] usable streams; row [||] = no such snapshot. *)
+    mutable by_k : int array array;
+        (** Expanded rows carried over by [import] and [merge]. *)
+    mutable ids : int array;  (** Scratch: one snapshot's usable ids. *)
     mutable snapshots : int;
     mutable usable : int;
     mutable inconsistent : int;
@@ -31,72 +45,121 @@ module Acc = struct
   let create static =
     {
       total_blocks = Static.total_blocks static;
+      streams = Stream_walk.Memo.create ();
+      counts = [||];
       by_k = [||];
+      ids = [||];
       snapshots = 0;
       usable = 0;
       inconsistent = 0;
       discarded = 0;
     }
 
-  let row acc k =
-    if k >= Array.length acc.by_k then begin
+  (* Row [k] of [counts], long enough for every interned id. *)
+  let count_row acc k =
+    if k >= Array.length acc.counts then begin
       let grown = Array.make (k + 1) [||] in
-      Array.blit acc.by_k 0 grown 0 (Array.length acc.by_k);
-      acc.by_k <- grown
+      Array.blit acc.counts 0 grown 0 (Array.length acc.counts);
+      acc.counts <- grown
     end;
-    if Array.length acc.by_k.(k) = 0 then
-      acc.by_k.(k) <- Array.make acc.total_blocks 0;
-    acc.by_k.(k)
+    let row = acc.counts.(k) in
+    let ids = Stream_walk.Memo.length acc.streams in
+    if Array.length row >= ids then row
+    else begin
+      let grown = Array.make (max 32 (2 * ids)) 0 in
+      Array.blit row 0 grown 0 (Array.length row);
+      acc.counts.(k) <- grown;
+      grown
+    end
 
   let add static acc (s : Sample_db.lbr_sample) =
     acc.snapshots <- acc.snapshots + 1;
     let n = Array.length s.entries in
     if n >= 2 then begin
-      (* Two passes: classify the snapshot's streams first, then
-         normalise the snapshot to one sample over its usable streams
-         (= 1/(N-1) when all N-1 are usable, the paper's weighting). *)
-      let walked = ref [] in
+      (* Classify the snapshot's streams first, then count the usable
+         ones under the snapshot's usable-stream count (its weight is
+         1/k, = 1/(N-1) when all N-1 are usable, the paper's
+         weighting). *)
+      if Array.length acc.ids < n then acc.ids <- Array.make n 0;
+      let k = ref 0 in
       for idx = 1 to n - 1 do
-        let target = s.entries.(idx - 1).Hbbp_cpu.Lbr.tgt in
-        let src = s.entries.(idx).Hbbp_cpu.Lbr.src in
-        match Stream_walk.walk static ~target ~src with
-        | Stream_walk.Blocks gids ->
-            acc.usable <- acc.usable + 1;
-            walked := gids :: !walked
+        let id =
+          Stream_walk.Memo.intern acc.streams static
+            ~target:s.entries.(idx - 1).Hbbp_cpu.Lbr.tgt
+            ~src:s.entries.(idx).Hbbp_cpu.Lbr.src
+        in
+        match Stream_walk.Memo.result acc.streams id with
+        | Stream_walk.Blocks _ ->
+            acc.ids.(!k) <- id;
+            incr k
         | Stream_walk.Inconsistent -> acc.inconsistent <- acc.inconsistent + 1
         | Stream_walk.Bad -> acc.discarded <- acc.discarded + 1
       done;
-      match !walked with
-      | [] -> ()
-      | streams ->
-          let r = row acc (List.length streams) in
-          List.iter
-            (List.iter (fun gid -> r.(gid) <- r.(gid) + 1))
-            streams
+      let k = !k in
+      acc.usable <- acc.usable + k;
+      if k > 0 then begin
+        let row = count_row acc k in
+        for i = 0 to k - 1 do
+          let id = acc.ids.(i) in
+          row.(id) <- row.(id) + 1
+        done
+      end
     end
+
+  (* The per-block rows: the carried-over rows plus every stream count
+     spread over the blocks its walk visits.  Fresh arrays. *)
+  let expand acc =
+    let pick rows k = if k < Array.length rows then rows.(k) else [||] in
+    Array.init
+      (max (Array.length acc.by_k) (Array.length acc.counts))
+      (fun k ->
+        let base = pick acc.by_k k and counts = pick acc.counts k in
+        if Array.length counts = 0 then Array.copy base
+        else begin
+          let r =
+            if Array.length base = 0 then Array.make acc.total_blocks 0
+            else Array.copy base
+          in
+          Array.iteri
+            (fun id c ->
+              if c > 0 then
+                match Stream_walk.Memo.result acc.streams id with
+                | Stream_walk.Blocks gids ->
+                    List.iter (fun gid -> r.(gid) <- r.(gid) + c) gids
+                | Stream_walk.Inconsistent | Stream_walk.Bad -> ())
+            counts;
+          r
+        end)
+
+  let of_rows ~total_blocks by_k ~snapshots ~usable ~inconsistent ~discarded
+      =
+    {
+      total_blocks;
+      streams = Stream_walk.Memo.create ();
+      counts = [||];
+      by_k;
+      ids = [||];
+      snapshots;
+      usable;
+      inconsistent;
+      discarded;
+    }
 
   let merge a b =
     if a.total_blocks <> b.total_blocks then
       invalid_arg "Lbr_estimator.Acc.merge: block count mismatch";
-    let n_k = max (Array.length a.by_k) (Array.length b.by_k) in
-    let pick (acc : acc) k =
-      if k < Array.length acc.by_k then acc.by_k.(k) else [||]
-    in
+    let ra = expand a and rb = expand b in
+    let pick rows k = if k < Array.length rows then rows.(k) else [||] in
     let by_k =
-      Array.init n_k (fun k ->
-          match (pick a k, pick b k) with
-          | [||], [||] -> [||]
-          | [||], r | r, [||] -> Array.copy r
-          | ra, rb -> Array.init a.total_blocks (fun g -> ra.(g) + rb.(g)))
+      Array.init (max (Array.length ra) (Array.length rb)) (fun k ->
+          match (pick ra k, pick rb k) with
+          | [||], r | r, [||] -> r
+          | x, y -> Array.init a.total_blocks (fun g -> x.(g) + y.(g)))
     in
-    {
-      total_blocks = a.total_blocks;
-      by_k;
-      snapshots = a.snapshots + b.snapshots;
-      usable = a.usable + b.usable;
-      inconsistent = a.inconsistent + b.inconsistent;
-      discarded = a.discarded + b.discarded;
-    }
+    of_rows ~total_blocks:a.total_blocks by_k
+      ~snapshots:(a.snapshots + b.snapshots) ~usable:(a.usable + b.usable)
+      ~inconsistent:(a.inconsistent + b.inconsistent)
+      ~discarded:(a.discarded + b.discarded)
 
   (* Checkpoint support: integer state only, so the round trip is
      exact.  Empty rows stay empty (length 0), preserving the sparse
@@ -113,7 +176,7 @@ module Acc = struct
   let export acc =
     {
       r_total_blocks = acc.total_blocks;
-      r_by_k = Array.map Array.copy acc.by_k;
+      r_by_k = expand acc;
       r_snapshots = acc.snapshots;
       r_usable = acc.usable;
       r_inconsistent = acc.inconsistent;
@@ -121,14 +184,10 @@ module Acc = struct
     }
 
   let import r =
-    {
-      total_blocks = r.r_total_blocks;
-      by_k = Array.map Array.copy r.r_by_k;
-      snapshots = r.r_snapshots;
-      usable = r.r_usable;
-      inconsistent = r.r_inconsistent;
-      discarded = r.r_discarded;
-    }
+    of_rows ~total_blocks:r.r_total_blocks
+      (Array.map Array.copy r.r_by_k)
+      ~snapshots:r.r_snapshots ~usable:r.r_usable
+      ~inconsistent:r.r_inconsistent ~discarded:r.r_discarded
 end
 
 let finalize _static ~period (acc : Acc.acc) =
@@ -142,7 +201,7 @@ let finalize _static ~period (acc : Acc.acc) =
             if n > 0 then weight.(gid) <- weight.(gid) +. (float_of_int n *. w))
           r
       end)
-    acc.Acc.by_k;
+    (Acc.expand acc);
   let bbec = Bbec.create Bbec.Lbr acc.Acc.total_blocks in
   Array.iteri
     (fun gid w -> bbec.Bbec.counts.(gid) <- w *. float_of_int period)

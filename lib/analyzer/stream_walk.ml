@@ -29,3 +29,27 @@ let walk static ~target ~src =
                   Inconsistent
         in
         go start_gid [] 0
+
+module Memo = struct
+  type memo = { keys : Pair_table.t; mutable results : result array }
+
+  let create () = { keys = Pair_table.create (); results = [||] }
+  let length memo = Pair_table.length memo.keys
+  let result memo id = memo.results.(id)
+  let target memo id = Pair_table.fst memo.keys id
+  let src memo id = Pair_table.snd memo.keys id
+
+  let intern memo static ~target ~src =
+    let id = Pair_table.find memo.keys target src in
+    if id >= 0 then id
+    else begin
+      let id = Pair_table.add memo.keys target src in
+      if id = Array.length memo.results then begin
+        let grown = Array.make (max 32 (2 * id)) Bad in
+        Array.blit memo.results 0 grown 0 id;
+        memo.results <- grown
+      end;
+      memo.results.(id) <- walk static ~target ~src;
+      id
+    end
+end

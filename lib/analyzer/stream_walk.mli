@@ -16,3 +16,26 @@ type result =
 val max_walk : int
 
 val walk : Static.t -> target:int -> src:int -> result
+
+(** Walk results interned per distinct [(target, src)] pair.  A snapshot
+    stream repeats the same few hundred pairs many thousand times, so an
+    accumulator keeps one memo and walks each distinct stream once; a
+    lookup of a stream already seen allocates nothing. *)
+module Memo : sig
+  type memo
+
+  val create : unit -> memo
+
+  (** [intern memo static ~target ~src] — the stream's id, walking it
+      over [static] on first sight.  One memo serves one static view. *)
+  val intern : memo -> Static.t -> target:int -> src:int -> int
+
+  (** Number of distinct streams interned. *)
+  val length : memo -> int
+
+  (** The cached walk of stream [id]. *)
+  val result : memo -> int -> result
+
+  val target : memo -> int -> int
+  val src : memo -> int -> int
+end

@@ -114,7 +114,7 @@ let analyze_at ~shared ~paths ~jobs =
     | p :: rest -> List.fold_left Pipeline.Partial.merge p rest
     | [] -> invalid_arg "Doctor: no shards"
   in
-  let r = Pipeline.finalize ~replay:(Pipeline.replay_archives paths) merged in
+  let r = Pipeline.finalize merged in
   let t1 = now () in
   (* Busy-time imbalance over the workers that actually ran tasks: the
      even-partition ideal is 1.0; the serial bottleneck worker shows up

@@ -245,7 +245,9 @@ module Partial = struct
      bytes as an uninterrupted one. *)
 
   let magic = "HBBPPART"
-  let serialize_version = 1
+  (* Version 2 added the bias triple section; a version-1 blob fails to
+     restore, which makes a resume start over. *)
+  let serialize_version = 2
 
   open Framing
 
@@ -263,6 +265,7 @@ module Partial = struct
     | _ -> None
 
   let serialize t =
+    let bias = Bias.Acc.export t.bias_acc in
     Framing.to_bytes ~magic ~version:serialize_version
       [
         (fun p ->
@@ -293,9 +296,8 @@ module Partial = struct
               Array.iter (w_i64 p) row)
             by_k);
         (fun p ->
-          let r = Bias.Acc.export t.bias_acc in
-          w_i64 p r.Bias.Acc.r_snapshots;
-          w_i64 p r.Bias.Acc.r_deep_total;
+          w_i64 p bias.Bias.Acc.r_snapshots;
+          w_i64 p bias.Bias.Acc.r_deep_total;
           let table bindings =
             w_i64 p (List.length bindings);
             List.iter
@@ -304,10 +306,19 @@ module Partial = struct
                 w_i64 p v)
               bindings
           in
-          table r.Bias.Acc.r_entry0;
-          table r.Bias.Acc.r_deep;
-          table r.Bias.Acc.r_adjacent;
-          table r.Bias.Acc.r_failed);
+          table bias.Bias.Acc.r_entry0;
+          table bias.Bias.Acc.r_deep;
+          table bias.Bias.Acc.r_adjacent;
+          table bias.Bias.Acc.r_failed);
+        (fun p ->
+          let triples = bias.Bias.Acc.r_triples in
+          w_i64 p (List.length triples);
+          List.iter
+            (fun (owner, target, src) ->
+              w_i64 p owner;
+              w_i64 p target;
+              w_i64 p src)
+            triples);
         (fun p ->
           let faults = List.rev t.faults_rev in
           w_i64 p (List.length faults);
@@ -387,30 +398,45 @@ module Partial = struct
             })
     in
     let bias_acc =
-      r_section c (fun s ->
-          let snapshots = r_i64 s in
-          let deep_total = r_i64 s in
-          let table () =
+      let tallies =
+        r_section c (fun s ->
+            let snapshots = r_i64 s in
+            let deep_total = r_i64 s in
+            let table () =
+              let n = r_i64 s in
+              if n < 0 then raise (Bad "negative table size");
+              List.init n (fun _ ->
+                  let k = r_i64 s in
+                  let v = r_i64 s in
+                  (k, v))
+            in
+            let entry0 = table () in
+            let deep = table () in
+            let adjacent = table () in
+            let failed = table () in
+            (snapshots, deep_total, entry0, deep, adjacent, failed))
+      in
+      let triples =
+        r_section c (fun s ->
             let n = r_i64 s in
-            if n < 0 then raise (Bad "negative table size");
+            if n < 0 then raise (Bad "negative triple count");
             List.init n (fun _ ->
-                let k = r_i64 s in
-                let v = r_i64 s in
-                (k, v))
-          in
-          let entry0 = table () in
-          let deep = table () in
-          let adjacent = table () in
-          let failed = table () in
-          Bias.Acc.import
-            {
-              Bias.Acc.r_entry0 = entry0;
-              r_deep = deep;
-              r_adjacent = adjacent;
-              r_failed = failed;
-              r_snapshots = snapshots;
-              r_deep_total = deep_total;
-            })
+                let owner = r_i64 s in
+                let target = r_i64 s in
+                let src = r_i64 s in
+                (owner, target, src)))
+      in
+      let snapshots, deep_total, entry0, deep, adjacent, failed = tallies in
+      Bias.Acc.import
+        {
+          Bias.Acc.r_entry0 = entry0;
+          r_deep = deep;
+          r_adjacent = adjacent;
+          r_failed = failed;
+          r_triples = triples;
+          r_snapshots = snapshots;
+          r_deep_total = deep_total;
+        }
     in
     let faults =
       r_section c (fun s ->
@@ -482,6 +508,8 @@ let record_reconstruction_metrics (r : reconstruction) =
     c "lbr.streams_usable" r.r_lbr.Lbr_estimator.usable_streams;
     c "lbr.streams_inconsistent" r.r_lbr.Lbr_estimator.inconsistent_streams;
     c "lbr.streams_discarded" r.r_lbr.Lbr_estimator.discarded_streams;
+    c "lbr.distinct_streams"
+      (Bias.Acc.distinct_streams r.r_partial.Partial.bias_acc);
     let streams =
       r.r_lbr.Lbr_estimator.usable_streams
       + r.r_lbr.Lbr_estimator.inconsistent_streams
@@ -570,14 +598,13 @@ let fallback_criteria = function
   | `Ebs_only -> Criteria.Length_rule { cutoff = 0; bias_to_ebs = false }
   | `Lbr_only -> Criteria.Length_rule { cutoff = max_int; bias_to_ebs = false }
 
-(* Turn accumulated partial state into a reconstruction.  [replay]
-   re-yields the record stream for the bias contamination pass, which
-   only runs when pass one flagged something; without it, contamination
-   is skipped (see {!Bias.finalize}).  All reconstruction entry points —
-   batch, streaming, merged shards — go through here, which is what
-   makes them bit-identical. *)
+(* Turn accumulated partial state into a reconstruction.  All
+   reconstruction entry points — batch, streaming, merged shards — go
+   through here, which is what makes them bit-identical.  The bias
+   accumulator carries everything contamination needs, so [replay] is
+   accepted and ignored. *)
 let finalize ?(criteria = Criteria.default) ?(thresholds = default_thresholds)
-    ?(repair = Report) ?replay (p : Partial.t) =
+    ?(repair = Report) ?replay:_ (p : Partial.t) =
   let span name f = Trace.with_span ~cat:"analyze" name f in
   let static = Partial.static p in
   let ebs =
@@ -590,24 +617,8 @@ let finalize ?(criteria = Criteria.default) ?(thresholds = default_thresholds)
         Lbr_estimator.finalize static ~period:(Partial.lbr_period p)
           p.Partial.lbr_acc)
   in
-  let bias_replay =
-    Option.map
-      (fun iter f ->
-        iter (fun chunk ->
-            List.iter
-              (fun (r : Record.t) ->
-                match r with
-                | Record.Sample s
-                  when Pmu_event.equal s.Record.event
-                         Pmu_event.Br_inst_retired_near_taken ->
-                    f { Sample_db.entries = s.Record.lbr; ring = s.Record.ring }
-                | _ -> ())
-              chunk))
-      replay
-  in
   let bias =
-    span "bias_finalize" (fun () ->
-        Bias.finalize static p.Partial.bias_acc ~replay:bias_replay)
+    span "bias_finalize" (fun () -> Bias.finalize static p.Partial.bias_acc)
   in
   let quality, fallback =
     assess_quality thresholds ~ledger:(Partial.faults p)
@@ -739,16 +750,14 @@ let reconstruct ?criteria ?thresholds ?repair ?(ledger = []) ~static
   let p = Partial.create ~static ~ebs_period ~lbr_period () in
   Partial.note_faults p ledger;
   Partial.feed p records;
-  finalize ?criteria ?thresholds ?repair ~replay:(fun f -> f records) p
+  finalize ?criteria ?thresholds ?repair p
 
 (* Merging finalized reconstructions re-finalizes the merged partial
    state — the estimator/bias accumulators are the mergeable core; the
    finalized arrays themselves are not (fallback and bias are
-   non-linear).  [replay] re-yields the {e combined} stream for the
-   contamination pass. *)
-let merge_reconstructions ?criteria ?thresholds ?repair ?replay a b =
-  finalize ?criteria ?thresholds ?repair ?replay
-    (Partial.merge a.r_partial b.r_partial)
+   non-linear). *)
+let merge_reconstructions ?criteria ?thresholds ?repair a b =
+  finalize ?criteria ?thresholds ?repair (Partial.merge a.r_partial b.r_partial)
 
 (* Executor coverage of one run: how much of it the observers let
    through whole blocks at a time. *)
@@ -834,18 +843,6 @@ let stream_archive ?chunk_records ?shared path =
   | Error e -> Error (Format.asprintf "%s: %a" path Perf_data.pp_error e)
   | exception Mismatch msg -> Error msg
 
-(* Second pass for bias contamination — only consulted when pass one
-   flagged a branch, so clean runs never reopen the files. *)
-let replay_archives ?chunk_records paths f =
-  List.iter
-    (fun path ->
-      (* Readable moments ago; best effort. *)
-      ignore
-        (Perf_data.fold_file ?chunk_records ~init:ignore
-           ~f:(fun () chunk -> f chunk)
-           path))
-    paths
-
 (* Streaming multi-archive analysis: one partial per archive, merged in
    path order over the first archive's static view, finalized over the
    merged totals. *)
@@ -862,11 +859,7 @@ let analyze_archives ?criteria ?thresholds ?repair ?chunk_records paths =
         Ok (Partial.merge merged p))
       (Ok first) (List.tl paths)
   in
-  Ok
-    ( meta,
-      finalize ?criteria ?thresholds ?repair
-        ~replay:(replay_archives ?chunk_records paths)
-        merged )
+  Ok (meta, finalize ?criteria ?thresholds ?repair merged)
 
 (* Run-level counters: execution volume plus the PMU's sampling-health
    accounting (the repo observing its own collection quality, the way

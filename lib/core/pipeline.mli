@@ -229,13 +229,11 @@ type reconstruction = {
 }
 
 (** [finalize partial] — turn accumulated state into a reconstruction:
-    estimator finalization, bias resolution, quality assessment over the
-    partial's merged totals (ledger faults, lost records, channel
-    starvation → fallback), fusion.  [replay] re-yields the partial's
-    record stream for the bias contamination pass; it is only consulted
-    when bias pass one flagged a branch, so clean streams stay
-    single-pass.  With [replay] omitted, contamination is skipped
-    ({!Hbbp_analyzer.Bias.finalize}).  [repair] selects the count-repair
+    estimator finalization, bias resolution and contamination (from the
+    partial's accumulated state alone — the record stream is not read
+    again), quality assessment over the partial's merged totals (ledger
+    faults, lost records, channel starvation → fallback), fusion.
+    [replay] is accepted and ignored.  [repair] selects the count-repair
     policy (default [Report]). *)
 val finalize :
   ?criteria:Criteria.t ->
@@ -269,15 +267,13 @@ val reconstruct :
     of two reconstructions over the same static view ([a]'s stream
     followed by [b]'s): estimates add exactly, and quality/fallback/bias
     are re-resolved over the {e combined} totals — merging two degraded
-    shards can yield a [Full] result and vice versa.  [replay] re-yields
-    the combined stream for bias contamination.
+    shards can yield a [Full] result and vice versa.
     @raise Invalid_argument when the partials don't share a static view
     or disagree on periods. *)
 val merge_reconstructions :
   ?criteria:Criteria.t ->
   ?thresholds:thresholds ->
   ?repair:repair_mode ->
-  ?replay:((Record.t list -> unit) -> unit) ->
   reconstruction ->
   reconstruction ->
   reconstruction
@@ -319,12 +315,6 @@ val stream_archive :
   ?shared:Perf_data.t * Static.t ->
   string ->
   (Perf_data.t * Partial.t, string) result
-
-(** [replay_archives paths f] — re-yield every record chunk of [paths],
-    in order: the [replay] of {!finalize} for a streamed analysis.  An
-    archive that has become unreadable is skipped. *)
-val replay_archives :
-  ?chunk_records:int -> string list -> (Record.t list -> unit) -> unit
 
 (** [analyze_archives paths] — streaming multi-archive analysis: each
     archive is streamed into its own partial ({!stream_archive}),

@@ -220,10 +220,6 @@ let analyze_archives ?criteria ?thresholds ?repair ?chunk_records
   match !merged with
   | None -> Error "no archives were analyzed"
   | Some m ->
-      let r =
-        Pipeline.finalize ?criteria ?thresholds ?repair
-          ~replay:(Pipeline.replay_archives ?chunk_records paths)
-          m
-      in
+      let r = Pipeline.finalize ?criteria ?thresholds ?repair m in
       Checkpoint.remove ~path:checkpoint;
       Ok (meta0, r)

@@ -345,8 +345,7 @@ let test_merge_reconstructions_matches_batch () =
           in
           let head = Pipeline.finalize (partial_of [ p0 ]) in
           let tail = Pipeline.finalize (partial_of [ p1; p2 ]) in
-          let replay = Pipeline.replay_archives shard_paths in
-          let merged = Pipeline.merge_reconstructions ~replay head tail in
+          let merged = Pipeline.merge_reconstructions head tail in
           let _, all =
             ok_or_fail "all shards" (Pipeline.analyze_archives shard_paths)
           in
