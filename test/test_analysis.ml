@@ -190,6 +190,285 @@ let test_analysis_golden () =
     (Lazy.force registry_archives)
   |> check_pinned ~what:"analyzer outputs" pinned_analysis
 
+(* ------------------------------------------------------------------ *)
+(* Contamination: accumulated triples against a replay of the stream    *)
+
+let lbr_samples (archive : Perf_data.t) =
+  Array.of_list
+    (List.filter_map
+       (function
+         | Record.Sample s
+           when Pmu_event.equal s.Record.event
+                  Pmu_event.Br_inst_retired_near_taken ->
+             Some { Sample_db.entries = s.Record.lbr; ring = s.Record.ring }
+         | _ -> None)
+       archive.Perf_data.records)
+
+(* Reference: contamination as a second pass over the snapshots.  The
+   flagged branches are re-derived from [bias.stats]; then every record
+   of a flagged branch flags the stream ending at it and the stream
+   starting at its target, and flags spill one static hop. *)
+let reference_flags ?(params = Bias.default_params) static (bias : Bias.t)
+    samples =
+  let flags = Array.make (Static.total_blocks static) false in
+  let flagged_srcs = Hashtbl.create 16 in
+  List.iter
+    (fun (st : Bias.branch_stat) ->
+      let entry0_symptom =
+        st.entry0_count >= params.Bias.min_entry0
+        && st.entry0_share >= params.Bias.min_entry0_share
+        && st.entry0_share > params.Bias.share_factor *. st.deep_share
+      in
+      let failure_symptom =
+        st.failed_streams >= params.Bias.min_failures
+        && st.adjacent_streams > 0
+        && float_of_int st.failed_streams /. float_of_int st.adjacent_streams
+           > params.Bias.failure_rate
+      in
+      if entry0_symptom || failure_symptom then begin
+        Hashtbl.replace flagged_srcs st.src ();
+        Option.iter (fun gid -> flags.(gid) <- true) (Static.find static st.src)
+      end)
+    bias.Bias.stats;
+  let flag_forward_from addr limit =
+    match Static.find_starting static addr with
+    | None -> ()
+    | Some gid0 ->
+        let rec go gid k =
+          if k < limit then begin
+            flags.(gid) <- true;
+            match Static.next_in_layout static gid with
+            | Some next -> go next (k + 1)
+            | None -> ()
+          end
+        in
+        go gid0 0
+  in
+  let flag_walk ~target ~src =
+    match Stream_walk.walk static ~target ~src with
+    | Stream_walk.Blocks gids -> List.iter (fun gid -> flags.(gid) <- true) gids
+    | Stream_walk.Inconsistent | Stream_walk.Bad ->
+        flag_forward_from target 4;
+        Option.iter (fun gid -> flags.(gid) <- true) (Static.find static src)
+  in
+  let contaminate (s : Sample_db.lbr_sample) =
+    let n = Array.length s.entries in
+    for k = 0 to n - 1 do
+      if Hashtbl.mem flagged_srcs s.entries.(k).Lbr.src then begin
+        if k >= 1 then
+          flag_walk ~target:s.entries.(k - 1).Lbr.tgt ~src:s.entries.(k).Lbr.src;
+        if k + 1 < n then
+          flag_walk ~target:s.entries.(k).Lbr.tgt ~src:s.entries.(k + 1).Lbr.src
+      end
+    done
+  in
+  if Hashtbl.length flagged_srcs > 0 then begin
+    Array.iter contaminate samples;
+    let seed = Array.copy flags in
+    Array.iteri
+      (fun gid is_flagged ->
+        if is_flagged then begin
+          let _, _, block = Static.block static gid in
+          let flag_opt = Option.iter (fun g -> flags.(g) <- true) in
+          match block.Hbbp_program.Basic_block.term with
+          | Hbbp_program.Basic_block.Term_jump a ->
+              flag_opt (Static.find_starting static a)
+          | Hbbp_program.Basic_block.Term_cond a ->
+              flag_opt (Static.find_starting static a);
+              flag_opt (Static.next_in_layout static gid)
+          | Hbbp_program.Basic_block.Term_fallthrough ->
+              flag_opt (Static.next_in_layout static gid)
+          | _ -> ()
+        end)
+      seed
+  end;
+  flags
+
+let count_flags flags =
+  Array.fold_left (fun n f -> if f then n + 1 else n) 0 flags
+
+(* The accumulator-based flags of [r] equal the replay's; returns the
+   number of flagged blocks. *)
+let check_against_replay ~what (r : Pipeline.reconstruction) samples =
+  let expected = reference_flags r.Pipeline.r_static r.Pipeline.r_bias samples in
+  if expected <> r.Pipeline.r_bias.Bias.flags then
+    Alcotest.failf "%s: flags differ from the replay (%d vs %d flagged)" what
+      (count_flags r.Pipeline.r_bias.Bias.flags)
+      (count_flags expected);
+  count_flags expected
+
+let test_contamination_registry () =
+  let flagged =
+    List.filter
+      (fun (name, archive) ->
+        check_against_replay ~what:name (Pipeline.analyze_archive archive)
+          (lbr_samples archive)
+        > 0)
+      (Lazy.force registry_archives)
+  in
+  (* The comparison must exercise contamination, not only clean runs. *)
+  Alcotest.(check bool) "most workloads flag blocks" true
+    (List.length flagged >= 15)
+
+(* Lossy LBR: one record in four goes missing after a taken branch, so
+   merged streams fail to walk and the failure symptom fires. *)
+let lossy_model = { Pmu_model.default with Pmu_model.global_drop_probability = 0.25 }
+
+let test_contamination_dropped_records () =
+  List.iter
+    (fun name ->
+      let archive =
+        capped_archive ~model:lossy_model (Hbbp_workloads.Registry.find name)
+      in
+      let r = Pipeline.analyze_archive archive in
+      let p = Bias.default_params in
+      let failure_flagged =
+        List.filter
+          (fun (st : Bias.branch_stat) ->
+            st.failed_streams >= p.Bias.min_failures
+            && float_of_int st.failed_streams
+               /. float_of_int (max 1 st.adjacent_streams)
+               > p.Bias.failure_rate)
+          r.Pipeline.r_bias.Bias.stats
+      in
+      Alcotest.(check bool)
+        (name ^ ": failure symptom fires") true (failure_flagged <> []);
+      ignore (check_against_replay ~what:name r (lbr_samples archive) : int))
+    [ "mcf"; "test40"; "hello"; "gcc" ]
+
+(* [n] contiguous chunks of [a]. *)
+let split n a =
+  let len = Array.length a in
+  List.init n (fun i ->
+      let lo = i * len / n and hi = (i + 1) * len / n in
+      Array.sub a lo (hi - lo))
+
+let bias_acc static samples =
+  let acc = Bias.Acc.create () in
+  Array.iter (Bias.Acc.add static acc) samples;
+  acc
+
+let lbr_acc static samples =
+  let acc = Lbr_estimator.Acc.create static in
+  Array.iter (Lbr_estimator.Acc.add static acc) samples;
+  acc
+
+let check_same_bias ~what (expected : Bias.t) (got : Bias.t) =
+  if expected.Bias.flags <> got.Bias.flags
+     || compare expected.Bias.stats got.Bias.stats <> 0
+     || expected.Bias.snapshots <> got.Bias.snapshots
+  then Alcotest.failf "%s: bias result differs" what
+
+let check_same_weights ~what (expected : Lbr_estimator.t) (got : Lbr_estimator.t)
+    =
+  let bits a = Array.map Int64.bits_of_float a in
+  if bits expected.Lbr_estimator.weight <> bits got.Lbr_estimator.weight then
+    Alcotest.failf "%s: LBR weights differ" what
+
+(* Shard splits: accumulators over 1, 3 and 7 contiguous chunks, merged
+   front to back and back to front, finalize to the replay's flags and
+   to the one-shot LBR weights. *)
+let test_contamination_shards () =
+  List.iter
+    (fun (name, archive) ->
+      let r = Pipeline.analyze_archive archive in
+      let static = r.Pipeline.r_static and samples = lbr_samples archive in
+      let expected = r.Pipeline.r_bias in
+      if reference_flags static expected samples <> expected.Bias.flags then
+        Alcotest.failf "%s: one-shot flags differ from the replay" name;
+      List.iter
+        (fun n ->
+          let chunks = split n samples in
+          let merged merge acc_of =
+            let accs = List.map (acc_of static) chunks in
+            ( List.fold_left merge (List.hd accs) (List.tl accs),
+              let rev = List.rev accs in
+              List.fold_left (fun a b -> merge b a) (List.hd rev) (List.tl rev) )
+          in
+          let fwd, bwd = merged Bias.Acc.merge bias_acc in
+          check_same_bias ~what:(Printf.sprintf "%s %d shards" name n)
+            expected (Bias.finalize static fwd);
+          check_same_bias
+            ~what:(Printf.sprintf "%s %d shards, reversed merge" name n)
+            expected (Bias.finalize static bwd);
+          let period = r.Pipeline.r_lbr.Lbr_estimator.period in
+          let fwd, bwd = merged Lbr_estimator.Acc.merge lbr_acc in
+          check_same_weights ~what:(Printf.sprintf "%s %d shards" name n)
+            r.Pipeline.r_lbr (Lbr_estimator.finalize static ~period fwd);
+          check_same_weights
+            ~what:(Printf.sprintf "%s %d shards, reversed merge" name n)
+            r.Pipeline.r_lbr (Lbr_estimator.finalize static ~period bwd))
+        [ 1; 3; 7 ])
+    (Lazy.force registry_archives)
+
+(* A checkpoint taken mid-stream: export, import, then keep feeding the
+   restored accumulator. *)
+let test_contamination_roundtrip () =
+  List.iter
+    (fun (name, archive) ->
+      let r = Pipeline.analyze_archive archive in
+      let static = r.Pipeline.r_static and samples = lbr_samples archive in
+      let half = Array.length samples / 2 in
+      let head = Array.sub samples 0 half
+      and tail = Array.sub samples half (Array.length samples - half) in
+      let bias = Bias.Acc.import (Bias.Acc.export (bias_acc static head)) in
+      Array.iter (Bias.Acc.add static bias) tail;
+      check_same_bias ~what:(name ^ " mid-stream round trip") r.Pipeline.r_bias
+        (Bias.finalize static bias);
+      let lbr =
+        Lbr_estimator.Acc.import (Lbr_estimator.Acc.export (lbr_acc static head))
+      in
+      Array.iter (Lbr_estimator.Acc.add static lbr) tail;
+      check_same_weights ~what:(name ^ " mid-stream round trip") r.Pipeline.r_lbr
+        (Lbr_estimator.finalize static
+           ~period:r.Pipeline.r_lbr.Lbr_estimator.period lbr))
+    (Lazy.force registry_archives)
+
+(* ------------------------------------------------------------------ *)
+(* Observability                                                       *)
+
+module Metrics = Hbbp_telemetry.Metrics
+
+let distinct_pairs samples =
+  let seen = Hashtbl.create 256 in
+  Array.iter
+    (fun (s : Sample_db.lbr_sample) ->
+      for k = 1 to Array.length s.entries - 1 do
+        Hashtbl.replace seen (s.entries.(k - 1).Lbr.tgt, s.entries.(k).Lbr.src) ()
+      done)
+    samples;
+  Hashtbl.length seen
+
+(* [lbr.distinct_streams] counts the distinct (target, src) streams of
+   the whole stream, also when the reconstruction merges two halves. *)
+let test_distinct_streams_metric () =
+  let archive = List.assoc "gcc" (Lazy.force registry_archives) in
+  let expected = distinct_pairs (lbr_samples archive) in
+  let published f =
+    Metrics.reset ();
+    Metrics.enable ();
+    Fun.protect
+      ~finally:(fun () ->
+        Metrics.disable ();
+        Metrics.reset ())
+      (fun () ->
+        ignore (f () : Pipeline.reconstruction);
+        Metrics.counter_value (Metrics.counter "lbr.distinct_streams"))
+  in
+  Alcotest.(check int) "one pass" expected
+    (published (fun () -> Pipeline.analyze_archive archive));
+  let static = Static.create_exn (Perf_data.analysis_process archive) in
+  let records = archive.Perf_data.records in
+  let half = List.length records / 2 in
+  let reconstruct records =
+    Pipeline.reconstruct ~static ~ebs_period:archive.Perf_data.ebs_period
+      ~lbr_period:archive.Perf_data.lbr_period records
+  in
+  let head = reconstruct (List.filteri (fun i _ -> i < half) records)
+  and tail = reconstruct (List.filteri (fun i _ -> i >= half) records) in
+  Alcotest.(check int) "merged halves" expected
+    (published (fun () -> Pipeline.merge_reconstructions head tail))
+
 let () =
   Alcotest.run "analysis"
     [
@@ -197,5 +476,21 @@ let () =
         [
           Alcotest.test_case "registry analyzer outputs" `Quick
             test_analysis_golden;
+        ] );
+      ( "contamination",
+        [
+          Alcotest.test_case "registry = replay" `Quick
+            test_contamination_registry;
+          Alcotest.test_case "dropped LBR records = replay" `Quick
+            test_contamination_dropped_records;
+          Alcotest.test_case "1/3/7 shards, both merge orders" `Quick
+            test_contamination_shards;
+          Alcotest.test_case "mid-stream export/import" `Quick
+            test_contamination_roundtrip;
+        ] );
+      ( "metrics",
+        [
+          Alcotest.test_case "lbr.distinct_streams" `Quick
+            test_distinct_streams_metric;
         ] );
     ]

@@ -383,6 +383,117 @@ let test_analyze_resume_identical () =
     (Bytes.equal uninterrupted fallback);
   cleanup base paths
 
+(* Partial blobs at the section level: magic, version byte, then each
+   section's payload (length and CRC stripped), and back — so a test can
+   rewrite one section and still present valid CRCs. *)
+let partial_magic = "HBBPPART"
+
+let blob_sections blob =
+  let m = String.length partial_magic in
+  let rec go pos acc =
+    if pos >= Bytes.length blob then List.rev acc
+    else
+      let len = Int64.to_int (Bytes.get_int64_le blob pos) in
+      go (pos + 16 + len) (Bytes.sub blob (pos + 16) len :: acc)
+  in
+  (Bytes.get_uint8 blob m, go (m + 1) [])
+
+let blob_of_sections ~version sections =
+  Framing.to_bytes ~magic:partial_magic ~version
+    (List.map (fun payload buf -> Buffer.add_bytes buf payload) sections)
+
+(* Version 2 added the bias triple section after the bias tallies; a
+   version-1 blob is the same sections without it. *)
+let triple_section = 4
+
+let as_version_1 blob =
+  let _, sections = blob_sections blob in
+  blob_of_sections ~version:1
+    (List.filteri (fun i _ -> i <> triple_section) sections)
+
+let with_triple_section blob payload =
+  let version, sections = blob_sections blob in
+  blob_of_sections ~version
+    (List.mapi (fun i s -> if i = triple_section then payload else s) sections)
+
+let contains msg needle =
+  let n = String.length needle in
+  let rec has i =
+    i + n <= String.length msg && (String.sub msg i n = needle || has (i + 1))
+  in
+  has 0
+
+let test_partial_versions () =
+  let shards = 4 in
+  let base = fresh_base "version" in
+  let ckpt = base ^ ".ckpt" in
+  let paths =
+    Perf_data.save_sharded (Lazy.force reference_archive) ~shards ~path:base
+  in
+  let fresh = Pipeline.analyze_archives paths in
+  let uninterrupted = serialize_result fresh in
+  let static =
+    match fresh with
+    | Ok (_, r) -> Pipeline.Partial.static r.Pipeline.r_partial
+    | Error msg -> Alcotest.failf "analyze: %s" msg
+  in
+  let version, sections = blob_sections uninterrupted in
+  checki "current partial version" 2 version;
+  checki "six sections" 6 (List.length sections);
+  checkb "sections rebuild the blob" true
+    (Bytes.equal uninterrupted (blob_of_sections ~version sections));
+  let rejected what blob reason =
+    match Pipeline.Partial.restore ~static blob with
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | Error e -> checkb (what ^ ": " ^ e) true (contains e reason)
+  in
+  rejected "version-1 partial" (as_version_1 uninterrupted)
+    "unsupported version 1";
+  let payload ints =
+    let b = Buffer.create 64 in
+    List.iter (Framing.w_i64 b) ints;
+    Buffer.to_bytes b
+  in
+  rejected "negative triple count"
+    (with_triple_section uninterrupted (payload [ -1 ]))
+    "negative triple count";
+  rejected "truncated triple section"
+    (with_triple_section uninterrupted (payload [ 2; 0x400000; 0x400010; 0x400020 ]))
+    "truncated";
+  rejected "triple cut mid-entry"
+    (with_triple_section uninterrupted (payload [ 1; 0x400000; 0x400010 ]))
+    "truncated";
+  (* A version-1 checkpoint left by an older build: the resume ignores
+     it and converges to the fresh run. *)
+  let polls = ref 0 in
+  let stop () =
+    incr polls;
+    !polls > 2
+  in
+  (match Recover.analyze_archives ~checkpoint:ckpt ~should_stop:stop paths with
+  | _ -> Alcotest.fail "expected Interrupted"
+  | exception Recover.Interrupted -> ());
+  (match Checkpoint.load ~path:ckpt with
+  | Some (Ok ck) ->
+      checki "checkpoint names two archives" 2
+        (List.length ck.Checkpoint.done_paths);
+      Checkpoint.save
+        { ck with Checkpoint.partial = as_version_1 ck.Checkpoint.partial }
+        ~path:ckpt
+  | Some (Error e) -> Alcotest.failf "checkpoint: %s" e
+  | None -> Alcotest.fail "no checkpoint after interruption");
+  let restores = Metrics.counter "checkpoint.restores" in
+  let restores0 = Metrics.counter_value restores in
+  let resumed =
+    serialize_result
+      (Recover.analyze_archives ~resume:true ~checkpoint:ckpt paths)
+  in
+  checki "version-1 checkpoint not restored" restores0
+    (Metrics.counter_value restores);
+  checkb "resume over a version-1 checkpoint byte-identical" true
+    (Bytes.equal uninterrupted resumed);
+  cleanup base paths
+
 (* Both analysis entry points report an unreadable archive as an [Error]
    rather than an exception. *)
 let test_analyze_missing_archive () =
@@ -440,6 +551,8 @@ let () =
             test_manifest_roundtrip;
           Alcotest.test_case "partial round-trip & corruption" `Quick
             test_partial_roundtrip;
+          Alcotest.test_case "partial version 1 and triple corruption" `Quick
+            test_partial_versions;
         ] );
       ( "collect",
         [
