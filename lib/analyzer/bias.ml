@@ -38,38 +38,50 @@ let default_params =
    per-branch tallies and the triple set, which is the state [export],
    [merge] and [finalize] read. *)
 module Acc = struct
-  type acc = {
-    streams : Stream_walk.Memo.memo;
-    triples : Pair_table.t;  (** (owner, stream id) -> triple id. *)
-    mutable triple_counts : int array;  (** By triple id. *)
+  (* Per branch: entry[0] and deep sightings, and how many streams START
+     at one of its records and how many of those cannot be walked.  A
+     missing LBR record after a branch merges the following stream,
+     which then usually fails to walk — a high failure rate is the
+     observable signature of record loss.  Plus the triple set. *)
+  type tallies = {
     entry0 : (int, int) Hashtbl.t;
-    (* Expanded state carried over by [import] and [merge]. *)
     deep : (int, int) Hashtbl.t;
     adjacent : (int, int) Hashtbl.t;
     failed : (int, int) Hashtbl.t;
     seen : (int * int * int, unit) Hashtbl.t;
+  }
+
+  type acc = {
+    streams : Stream_walk.Memo.memo;
+    triples : Pair_table.t;  (** (owner, stream id) -> triple id. *)
+    mutable triple_counts : int array;  (** By triple id. *)
+    base : tallies;
+        (** [add] counts entry[0] here directly; the rest is what
+            [import] and [merge] carried over. *)
     mutable snapshots : int;
     mutable deep_total : int;
   }
 
-  let make ~entry0 ~deep ~adjacent ~failed ~seen ~snapshots ~deep_total =
+  let of_tallies base ~snapshots ~deep_total =
     {
       streams = Stream_walk.Memo.create ();
       triples = Pair_table.create ();
       triple_counts = [||];
-      entry0;
-      deep;
-      adjacent;
-      failed;
-      seen;
+      base;
       snapshots;
       deep_total;
     }
 
   let create () =
-    make ~entry0:(Hashtbl.create 256) ~deep:(Hashtbl.create 16)
-      ~adjacent:(Hashtbl.create 16) ~failed:(Hashtbl.create 16)
-      ~seen:(Hashtbl.create 16) ~snapshots:0 ~deep_total:0
+    of_tallies
+      {
+        entry0 = Hashtbl.create 256;
+        deep = Hashtbl.create 16;
+        adjacent = Hashtbl.create 16;
+        failed = Hashtbl.create 16;
+        seen = Hashtbl.create 16;
+      }
+      ~snapshots:0 ~deep_total:0
 
   let bump_by table key n =
     match Hashtbl.find table key with
@@ -93,7 +105,7 @@ module Acc = struct
     let n = Array.length s.entries in
     if n >= 2 then begin
       acc.snapshots <- acc.snapshots + 1;
-      bump_by acc.entry0 s.entries.(0).Hbbp_cpu.Lbr.src 1;
+      bump_by acc.base.entry0 s.entries.(0).Hbbp_cpu.Lbr.src 1;
       acc.deep_total <- acc.deep_total + (n - 1);
       for k = 1 to n - 1 do
         let stream =
@@ -105,27 +117,16 @@ module Acc = struct
       done
     end
 
-  (* Per branch: deep sightings, and how many streams START at one of
-     its records and how many of those cannot be walked.  A missing LBR
-     record after a branch merges the following stream, which then
-     usually fails to walk — a high failure rate is the observable
-     signature of record loss.  Fresh tables. *)
-  type expanded = {
-    x_entry0 : (int, int) Hashtbl.t;
-    x_deep : (int, int) Hashtbl.t;
-    x_adjacent : (int, int) Hashtbl.t;
-    x_failed : (int, int) Hashtbl.t;
-    x_seen : (int * int * int, unit) Hashtbl.t;
-  }
-
+  (* The carried-over tallies plus every triple count.  Fresh tables. *)
   let expand acc =
+    let b = acc.base in
     let x =
       {
-        x_entry0 = Hashtbl.copy acc.entry0;
-        x_deep = Hashtbl.copy acc.deep;
-        x_adjacent = Hashtbl.copy acc.adjacent;
-        x_failed = Hashtbl.copy acc.failed;
-        x_seen = Hashtbl.copy acc.seen;
+        entry0 = Hashtbl.copy b.entry0;
+        deep = Hashtbl.copy b.deep;
+        adjacent = Hashtbl.copy b.adjacent;
+        failed = Hashtbl.copy b.failed;
+        seen = Hashtbl.copy b.seen;
       }
     in
     for id = 0 to Pair_table.length acc.triples - 1 do
@@ -134,29 +135,24 @@ module Acc = struct
       and stream = Pair_table.snd acc.triples id in
       let target = Stream_walk.Memo.target acc.streams stream
       and src = Stream_walk.Memo.src acc.streams stream in
-      bump_by x.x_deep src c;
-      bump_by x.x_adjacent owner c;
+      bump_by x.deep src c;
+      bump_by x.adjacent owner c;
       (match Stream_walk.Memo.result acc.streams stream with
       | Stream_walk.Blocks _ -> ()
-      | Stream_walk.Inconsistent | Stream_walk.Bad ->
-          bump_by x.x_failed owner c);
-      Hashtbl.replace x.x_seen (owner, target, src) ()
+      | Stream_walk.Inconsistent | Stream_walk.Bad -> bump_by x.failed owner c);
+      Hashtbl.replace x.seen (owner, target, src) ()
     done;
     x
 
   let merge a b =
     let xa = expand a and xb = expand b in
-    let sum src dst =
-      Hashtbl.iter (fun key n -> bump_by dst key n) src;
-      dst
-    in
-    Hashtbl.iter (fun t () -> Hashtbl.replace xa.x_seen t ()) xb.x_seen;
-    make
-      ~entry0:(sum xb.x_entry0 xa.x_entry0)
-      ~deep:(sum xb.x_deep xa.x_deep)
-      ~adjacent:(sum xb.x_adjacent xa.x_adjacent)
-      ~failed:(sum xb.x_failed xa.x_failed)
-      ~seen:xa.x_seen
+    let sum src dst = Hashtbl.iter (fun key n -> bump_by dst key n) src in
+    sum xb.entry0 xa.entry0;
+    sum xb.deep xa.deep;
+    sum xb.adjacent xa.adjacent;
+    sum xb.failed xa.failed;
+    Hashtbl.iter (fun t () -> Hashtbl.replace xa.seen t ()) xb.seen;
+    of_tallies xa
       ~snapshots:(a.snapshots + b.snapshots)
       ~deep_total:(a.deep_total + b.deep_total)
 
@@ -164,7 +160,7 @@ module Acc = struct
     let streams = Hashtbl.create 256 in
     Hashtbl.iter
       (fun (_, target, src) () -> Hashtbl.replace streams (target, src) ())
-      (expand acc).x_seen;
+      (expand acc).seen;
     Hashtbl.length streams
 
   (* Checkpoint support.  Tables export as key-sorted assoc lists, so
@@ -195,21 +191,24 @@ module Acc = struct
   let export acc =
     let x = expand acc in
     {
-      r_entry0 = sorted_bindings x.x_entry0;
-      r_deep = sorted_bindings x.x_deep;
-      r_adjacent = sorted_bindings x.x_adjacent;
-      r_failed = sorted_bindings x.x_failed;
-      r_triples = sorted_keys x.x_seen;
+      r_entry0 = sorted_bindings x.entry0;
+      r_deep = sorted_bindings x.deep;
+      r_adjacent = sorted_bindings x.adjacent;
+      r_failed = sorted_bindings x.failed;
+      r_triples = sorted_keys x.seen;
       r_snapshots = acc.snapshots;
       r_deep_total = acc.deep_total;
     }
 
   let import r =
-    make ~entry0:(table_of_bindings r.r_entry0)
-      ~deep:(table_of_bindings r.r_deep)
-      ~adjacent:(table_of_bindings r.r_adjacent)
-      ~failed:(table_of_bindings r.r_failed)
-      ~seen:(table_of_bindings (List.map (fun t -> (t, ())) r.r_triples))
+    of_tallies
+      {
+        entry0 = table_of_bindings r.r_entry0;
+        deep = table_of_bindings r.r_deep;
+        adjacent = table_of_bindings r.r_adjacent;
+        failed = table_of_bindings r.r_failed;
+        seen = table_of_bindings (List.map (fun t -> (t, ())) r.r_triples);
+      }
       ~snapshots:r.r_snapshots ~deep_total:r.r_deep_total
 end
 
@@ -222,7 +221,7 @@ let finalize ?(params = default_params) static (acc : Acc.acc) =
     Hashtbl.iter
       (fun src entry0_count ->
         let deep_count =
-          Option.value ~default:0 (Hashtbl.find_opt x.Acc.x_deep src)
+          Option.value ~default:0 (Hashtbl.find_opt x.Acc.deep src)
         in
         let entry0_share =
           float_of_int entry0_count /. float_of_int acc.Acc.snapshots
@@ -232,10 +231,10 @@ let finalize ?(params = default_params) static (acc : Acc.acc) =
           else float_of_int deep_count /. float_of_int acc.Acc.deep_total
         in
         let adjacent_streams =
-          Option.value ~default:0 (Hashtbl.find_opt x.Acc.x_adjacent src)
+          Option.value ~default:0 (Hashtbl.find_opt x.Acc.adjacent src)
         in
         let failed_streams =
-          Option.value ~default:0 (Hashtbl.find_opt x.Acc.x_failed src)
+          Option.value ~default:0 (Hashtbl.find_opt x.Acc.failed src)
         in
         stats :=
           { src; entry0_count; deep_count; entry0_share; deep_share;
@@ -258,7 +257,7 @@ let finalize ?(params = default_params) static (acc : Acc.acc) =
           | Some gid -> flags.(gid) <- true
           | None -> ()
         end)
-      x.Acc.x_entry0;
+      x.Acc.entry0;
   (* Contamination spreads beyond the anomalous branch itself: every
      count whose supporting stream is ADJACENT to a record of a flagged
      branch (ends at its source, or starts at its target) is suspect.
@@ -300,7 +299,7 @@ let finalize ?(params = default_params) static (acc : Acc.acc) =
       (fun (owner, target, src) () ->
         if Hashtbl.mem flagged_srcs owner || Hashtbl.mem flagged_srcs src then
           flag_walk ~target ~src)
-      x.Acc.x_seen;
+      x.Acc.seen;
   (* One hop along static control flow: a suspect stream's distortion
      spills onto the blocks its endpoints branch to. *)
   if Hashtbl.length flagged_srcs > 0 then begin

@@ -397,46 +397,44 @@ module Partial = struct
               r_discarded = discarded;
             })
     in
-    let bias_acc =
-      let tallies =
-        r_section c (fun s ->
-            let snapshots = r_i64 s in
-            let deep_total = r_i64 s in
-            let table () =
-              let n = r_i64 s in
-              if n < 0 then raise (Bad "negative table size");
-              List.init n (fun _ ->
-                  let k = r_i64 s in
-                  let v = r_i64 s in
-                  (k, v))
-            in
-            let entry0 = table () in
-            let deep = table () in
-            let adjacent = table () in
-            let failed = table () in
-            (snapshots, deep_total, entry0, deep, adjacent, failed))
-      in
-      let triples =
-        r_section c (fun s ->
+    let bias_tallies =
+      r_section c (fun s ->
+          let snapshots = r_i64 s in
+          let deep_total = r_i64 s in
+          let table () =
             let n = r_i64 s in
-            if n < 0 then raise (Bad "negative triple count");
+            if n < 0 then raise (Bad "negative table size");
+            List.init n (fun _ ->
+                let k = r_i64 s in
+                let v = r_i64 s in
+                (k, v))
+          in
+          let entry0 = table () in
+          let deep = table () in
+          let adjacent = table () in
+          let failed = table () in
+          {
+            Bias.Acc.r_entry0 = entry0;
+            r_deep = deep;
+            r_adjacent = adjacent;
+            r_failed = failed;
+            r_triples = [];
+            r_snapshots = snapshots;
+            r_deep_total = deep_total;
+          })
+    in
+    let bias_acc =
+      r_section c (fun s ->
+          let n = r_i64 s in
+          if n < 0 then raise (Bad "negative triple count");
+          let triples =
             List.init n (fun _ ->
                 let owner = r_i64 s in
                 let target = r_i64 s in
                 let src = r_i64 s in
-                (owner, target, src)))
-      in
-      let snapshots, deep_total, entry0, deep, adjacent, failed = tallies in
-      Bias.Acc.import
-        {
-          Bias.Acc.r_entry0 = entry0;
-          r_deep = deep;
-          r_adjacent = adjacent;
-          r_failed = failed;
-          r_triples = triples;
-          r_snapshots = snapshots;
-          r_deep_total = deep_total;
-        }
+                (owner, target, src))
+          in
+          Bias.Acc.import { bias_tallies with Bias.Acc.r_triples = triples })
     in
     let faults =
       r_section c (fun s ->

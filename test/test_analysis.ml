@@ -85,21 +85,6 @@ let digest_of (r : Pipeline.reconstruction) =
     (digest_floats r.Pipeline.r_hbbp.Bbec.counts)
     repaired
 
-(* Compare [(name, digest)] pairs against a pinned table, reporting
-   every mismatch at once so one failing run shows all moved digests. *)
-let check_pinned ~what table got =
-  let moved =
-    List.filter_map
-      (fun (name, d) ->
-        match List.assoc_opt name table with
-        | Some expected when String.equal expected d -> None
-        | Some _ | None -> Some (Printf.sprintf "    (%S,\n     %S);" name d))
-      got
-  in
-  if moved <> [] || List.length table <> List.length got then
-    Alcotest.failf "%s: %d of %d pinned digests moved; current values:\n%s"
-      what (List.length moved) (List.length got) (String.concat "\n" moved)
-
 (* ------------------------------------------------------------------ *)
 (* Pinned table                                                        *)
 
@@ -188,7 +173,7 @@ let test_analysis_golden () =
   List.map
     (fun (name, archive) -> (name, digest_of (Pipeline.analyze_archive archive)))
     (Lazy.force registry_archives)
-  |> check_pinned ~what:"analyzer outputs" pinned_analysis
+  |> Pinned.check ~what:"analyzer outputs" pinned_analysis
 
 (* ------------------------------------------------------------------ *)
 (* Contamination: accumulated triples against a replay of the stream    *)

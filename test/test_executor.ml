@@ -73,21 +73,6 @@ let pp_outcome = function
 let digest_of (outcome, hash, retired) =
   Printf.sprintf "%s hash=%x n=%d" (pp_outcome outcome) hash retired
 
-(* Compare [(name, digest)] pairs against a pinned table, reporting
-   every mismatch at once so one failing run shows all moved digests. *)
-let check_pinned ~what table got =
-  let moved =
-    List.filter_map
-      (fun (name, d) ->
-        match List.assoc_opt name table with
-        | Some expected when String.equal expected d -> None
-        | Some _ | None -> Some (Printf.sprintf "    (%S,\n     %S);" name d))
-      got
-  in
-  if moved <> [] || List.length table <> List.length got then
-    Alcotest.failf "%s: %d of %d pinned digests moved; current values:\n%s"
-      what (List.length moved) (List.length got) (String.concat "\n" moved)
-
 (* Compare every engine's (outcome, stream hash, retirement count)
    against the legacy reference; returns the reference run. *)
 let check_differential ~what ?max_instructions (w : Workload.t) =
@@ -198,7 +183,7 @@ let test_registry_differential () =
       let w = Hbbp_workloads.Registry.find name in
       (name, digest_of (check_differential ~what:name ~max_instructions:400_000 w)))
     Hbbp_workloads.Registry.names
-  |> check_pinned ~what:"registry sweep" pinned_registry
+  |> Pinned.check ~what:"registry sweep" pinned_registry
 
 (* Full, uncapped runs on the machine-bench set: short blocks (mcf),
    branch/x87-heavy (test40), syscall-heavy (hello), SSE (fitter-sse). *)
@@ -237,7 +222,7 @@ let test_bench_set_full_runs () =
         engines;
       (name, digest_of reference))
     bench_set
-  |> check_pinned ~what:"bench set full runs" pinned_bench_set
+  |> Pinned.check ~what:"bench set full runs" pinned_bench_set
 
 (* Runaway budgeting: sweep awkward budgets (mid-block, block boundary,
    budget 1) and require identical truncation points. *)
@@ -288,7 +273,7 @@ let test_archives_byte_identical () =
         engines;
       (name, Digest.to_hex (Digest.bytes reference)))
     [ "hello"; "test40" ]
-  |> check_pinned ~what:"archive bytes" pinned_archives
+  |> Pinned.check ~what:"archive bytes" pinned_archives
 
 let profiles_equal (a : Pipeline.profile) (b : Pipeline.profile) =
   compare a.stats b.stats = 0
