@@ -146,6 +146,14 @@ let hbbp_error p = avg_weighted_error p p.Pipeline.hbbp
 let lbr_error p = avg_weighted_error p p.Pipeline.lbr.Hbbp_analyzer.Lbr_estimator.bbec
 let ebs_error p = avg_weighted_error p p.Pipeline.ebs.Hbbp_analyzer.Ebs_estimator.bbec
 
+(* Linear-interpolated quantile of a non-empty list. *)
+let quantile q xs =
+  let a = Array.of_list (List.sort compare xs) in
+  let pos = q *. float_of_int (Array.length a - 1) in
+  let i = int_of_float pos in
+  if i + 1 >= Array.length a then a.(i)
+  else a.(i) +. ((pos -. float_of_int i) *. (a.(i + 1) -. a.(i)))
+
 let pct v = Printf.sprintf "%.2f%%" (v *. 100.0)
 
 let header ppf title =

@@ -23,14 +23,6 @@ let now = Unix.gettimeofday
 let pairs = 41
 let shards = 4
 
-(* Linear-interpolated quantile of a non-empty list. *)
-let quantile q xs =
-  let a = Array.of_list (List.sort compare xs) in
-  let pos = q *. float_of_int (Array.length a - 1) in
-  let i = int_of_float pos in
-  if i + 1 >= Array.length a then a.(i)
-  else a.(i) +. ((pos -. float_of_int i) *. (a.(i + 1) -. a.(i)))
-
 let run ppf =
   U.header ppf "Recovery: resumable-driver overhead (writes BENCH_recovery.json)";
   (* Largest bundled workload by record volume, so the driver's fixed
@@ -100,16 +92,16 @@ let run ppf =
   List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) paths;
   (try Sys.remove (Hbbp_collector.Manifest.path_for path) with Sys_error _ -> ());
   let series f = List.map f runs in
-  let median_s f = quantile 0.5 (series f) in
+  let median_s f = U.quantile 0.5 (series f) in
   let baseline_s = median_s (fun (b, _, _) -> b)
   and driver_s = median_s (fun (_, d, _) -> d)
   and checkpointed_s = median_s (fun (_, _, c) -> c) in
   let driver_ratios = series (fun (b, d, _) -> (d /. b) -. 1.0) in
-  let driver_overhead = quantile 0.5 driver_ratios in
-  let driver_q1 = quantile 0.25 driver_ratios
-  and driver_q3 = quantile 0.75 driver_ratios in
+  let driver_overhead = U.quantile 0.5 driver_ratios in
+  let driver_q1 = U.quantile 0.25 driver_ratios
+  and driver_q3 = U.quantile 0.75 driver_ratios in
   let checkpointed_overhead =
-    quantile 0.5 (series (fun (b, _, c) -> (c /. b) -. 1.0))
+    U.quantile 0.5 (series (fun (b, _, c) -> (c /. b) -. 1.0))
   in
   Format.fprintf ppf "archives: %d shards of %s, %d interleaved pairs@." shards
     archive.Perf_data.workload_name pairs;

@@ -3,13 +3,17 @@
    disabled and stays cheap when enabled, and that enabling it does not
    change a single profile byte.  Writes BENCH_telemetry.json.
 
-   Three series over the same workloads, interleaved so drift hits all
-   of them equally, best of [rounds] each:
+   Three series over the same workloads, measured as interleaved
+   triples so drift hits all of them equally:
 
    - baseline:  telemetry disabled (the default state);
    - disabled:  telemetry disabled again — the baseline re-measured, so
      the reported "disabled overhead" is pure run-to-run noise;
    - enabled:   tracing + metrics armed.
+
+   Each overhead is the median over the triples of the per-triple time
+   ratio against the baseline (the baseline/disabled order alternates),
+   so a burst of host noise moves one pair, not the verdict.
 
    A microbench of the disabled [with_span] fast path reports the
    per-call cost in nanoseconds. *)
@@ -64,6 +68,8 @@ let disabled_span_ns () =
   let bare_s = best bare and spanned_s = best spanned in
   (spanned_s -. bare_s) /. float_of_int n *. 1e9
 
+let pairs = 9
+
 let run ppf =
   U.header ppf "Telemetry overhead (writes BENCH_telemetry.json)";
   Trace.disable ();
@@ -71,18 +77,7 @@ let run ppf =
   Metrics.disable ();
   Metrics.reset ();
   let ws = workloads () in
-  let rounds = 3 in
-  let baseline_s = ref infinity
-  and disabled_s = ref infinity
-  and enabled_s = ref infinity in
-  let baseline_profiles = ref [] and enabled_profiles = ref [] in
-  let span_count = ref 0 in
-  for _ = 1 to rounds do
-    (* baseline (telemetry off) *)
-    let ps, dt = time (fun () -> run_all ws) in
-    if dt < !baseline_s then baseline_s := dt;
-    baseline_profiles := ps;
-    (* enabled (tracing + metrics on) *)
+  let enabled () =
     Trace.reset ();
     Metrics.reset ();
     Trace.enable ();
@@ -90,45 +85,73 @@ let run ppf =
     let ps, dt = time (fun () -> run_all ws) in
     Trace.disable ();
     Metrics.disable ();
-    if dt < !enabled_s then enabled_s := dt;
-    enabled_profiles := ps;
-    span_count := Trace.span_count ();
-    (* disabled (telemetry off again — noise floor) *)
-    let _, dt = time (fun () -> run_all ws) in
-    if dt < !disabled_s then disabled_s := dt
-  done;
+    (ps, dt)
+  in
+  (* Untimed warmup, so the first pair does not pay for major-heap
+     growth on behalf of the rest. *)
+  ignore (run_all ws);
+  let identical = ref true and span_count = ref 0 in
+  let runs =
+    List.init pairs (fun i ->
+        let run_off () = time (fun () -> run_all ws) in
+        let (base_ps, base_s), (_, disabled_s) =
+          if i mod 2 = 0 then
+            let b = run_off () in
+            (b, run_off ())
+          else
+            let d = run_off () in
+            (run_off (), d)
+        in
+        let ps, enabled_s = enabled () in
+        span_count := Trace.span_count ();
+        if not (List.for_all2 Perf.profiles_equal base_ps ps) then
+          identical := false;
+        (base_s, disabled_s, enabled_s))
+  in
   Trace.reset ();
   Metrics.reset ();
-  let identical =
-    List.for_all2 Perf.profiles_equal !baseline_profiles !enabled_profiles
+  let series f = List.map f runs in
+  let median f = U.quantile 0.5 (series f) in
+  let baseline_s = median (fun (b, _, _) -> b)
+  and disabled_s = median (fun (_, d, _) -> d)
+  and enabled_s = median (fun (_, _, e) -> e) in
+  let disabled_ratios = series (fun (b, d, _) -> (d /. b) -. 1.0) in
+  let disabled_overhead = U.quantile 0.5 disabled_ratios
+  and disabled_q1 = U.quantile 0.25 disabled_ratios
+  and disabled_q3 = U.quantile 0.75 disabled_ratios in
+  let enabled_overhead =
+    U.quantile 0.5 (series (fun (b, _, e) -> (e /. b) -. 1.0))
   in
-  let frac v = (v -. !baseline_s) /. !baseline_s in
-  let disabled_overhead = frac !disabled_s
-  and enabled_overhead = frac !enabled_s in
   let span_ns = disabled_span_ns () in
-  Format.fprintf ppf "%d workloads, best of %d rounds@." (List.length ws)
-    rounds;
-  Format.fprintf ppf "baseline (telemetry off): %8.3f s@." !baseline_s;
-  Format.fprintf ppf "disabled re-measure:      %8.3f s  (%+.2f%% = noise)@."
-    !disabled_s (100.0 *. disabled_overhead);
+  Format.fprintf ppf "%d workloads, %d interleaved pairs@." (List.length ws)
+    pairs;
+  Format.fprintf ppf "baseline (telemetry off): %8.3f s median@." baseline_s;
+  Format.fprintf ppf
+    "disabled re-measure:      %8.3f s  (%+.2f%% median pair, quartiles \
+     %+.2f%% .. %+.2f%% = noise)@."
+    disabled_s
+    (100.0 *. disabled_overhead)
+    (100.0 *. disabled_q1) (100.0 *. disabled_q3);
   Format.fprintf ppf "enabled (trace+metrics):  %8.3f s  (%+.2f%%, %d spans)@."
-    !enabled_s
+    enabled_s
     (100.0 *. enabled_overhead)
     !span_count;
   Format.fprintf ppf "disabled with_span cost:  %8.1f ns/call@." span_ns;
   Format.fprintf ppf "profiles byte-identical with telemetry on: %b@."
-    identical;
-  if not identical then
+    !identical;
+  if not !identical then
     failwith "BENCH telemetry: enabling telemetry changed profile bytes";
   U.write_out "BENCH_telemetry.json"
     {|{
   %s,
   "workloads": %d,
-  "rounds": %d,
+  "pairs": %d,
   "baseline_s": %.4f,
   "disabled_s": %.4f,
   "enabled_s": %.4f,
   "disabled_overhead": %.4f,
+  "disabled_overhead_q1": %.4f,
+  "disabled_overhead_q3": %.4f,
   "enabled_overhead": %.4f,
   "disabled_span_ns": %.1f,
   "spans": %d,
@@ -136,15 +159,16 @@ let run ppf =
 }
 |}
     (U.json_header ~bench:"telemetry")
-    (List.length ws) rounds !baseline_s !disabled_s !enabled_s
-    disabled_overhead enabled_overhead span_ns !span_count identical;
+    (List.length ws) pairs baseline_s disabled_s enabled_s disabled_overhead
+    disabled_q1 disabled_q3 enabled_overhead span_ns !span_count !identical;
   Format.fprintf ppf "wrote BENCH_telemetry.json@.";
   (* CI gate: disabled telemetry must be free.  The disabled series is
-     the baseline re-measured, so anything beyond 1% is a real
+     the baseline re-measured, so a median pair beyond 1% is a real
      regression of the disabled fast path, not noise — fail loudly. *)
   if disabled_overhead > 0.01 then
     failwith
       (Printf.sprintf
-         "BENCH telemetry: disabled-telemetry overhead %.2f%% exceeds the \
-          1%% budget"
-         (100.0 *. disabled_overhead))
+         "BENCH telemetry: disabled-telemetry overhead %.2f%% (median of %d \
+          pairs) exceeds the 1%% budget"
+         (100.0 *. disabled_overhead)
+         pairs)

@@ -144,7 +144,8 @@ val sharded_bytes :
 module Stream : sig
   type stream
 
-  (** Default records per {!next} chunk (4096). *)
+  (** Default records per {!next} chunk (256, so a chunk's decoded
+      records fit the minor heap). *)
   val default_chunk_records : int
 
   (** Open an archive for streaming.  Fails with the same typed errors

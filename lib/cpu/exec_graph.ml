@@ -128,28 +128,27 @@ let build_block entry =
     b_memo = [];
   }
 
-let block_at t addr =
-  let segments = t.segments in
-  let n = Array.length segments in
-  let rec find k =
-    if k >= n then None
-    else
-      let s = Array.unsafe_get segments k in
-      if addr >= s.base && addr < s.limit then begin
-        let off = addr - s.base in
-        match Array.unsafe_get s.blocks off with
-        | Some _ as b -> b
-        | None -> (
-            match Array.unsafe_get s.slots off with
-            | None -> None
-            | Some entry ->
-                let b = build_block entry in
-                s.blocks.(off) <- Some b;
-                Some b)
-      end
-      else find (k + 1)
-  in
-  find 0
+(* Segment scans here and in the tables below are top-level functions,
+   not local loops, so a lookup allocates no closure. *)
+let rec block_from segments addr k =
+  if k >= Array.length segments then None
+  else
+    let s = Array.unsafe_get segments k in
+    if addr >= s.base && addr < s.limit then begin
+      let off = addr - s.base in
+      match Array.unsafe_get s.blocks off with
+      | Some _ as b -> b
+      | None -> (
+          match Array.unsafe_get s.slots off with
+          | None -> None
+          | Some entry ->
+              let b = build_block entry in
+              s.blocks.(off) <- Some b;
+              Some b)
+    end
+    else block_from segments addr (k + 1)
+
+let block_at t addr = block_from t.segments addr 0
 
 let create_table t =
   {
@@ -159,30 +158,26 @@ let create_table t =
       Array.map (fun s -> Array.make (Array.length s.slots) None) t.segments;
   }
 
-let table_find tbl addr =
-  let n = Array.length tbl.tbl_base in
-  let rec find k =
-    if k >= n then None
-    else if
-      addr >= Array.unsafe_get tbl.tbl_base k
-      && addr < Array.unsafe_get tbl.tbl_limit k
-    then
-      Array.unsafe_get
-        (Array.unsafe_get tbl.tbl_slots k)
-        (addr - Array.unsafe_get tbl.tbl_base k)
-    else find (k + 1)
-  in
-  find 0
+let rec table_find_from tbl addr k =
+  if k >= Array.length tbl.tbl_base then None
+  else if
+    addr >= Array.unsafe_get tbl.tbl_base k
+    && addr < Array.unsafe_get tbl.tbl_limit k
+  then
+    Array.unsafe_get
+      (Array.unsafe_get tbl.tbl_slots k)
+      (addr - Array.unsafe_get tbl.tbl_base k)
+  else table_find_from tbl addr (k + 1)
 
-let table_set tbl addr v =
-  let n = Array.length tbl.tbl_base in
-  let rec find k =
-    if k >= n then ()
-    else if addr >= tbl.tbl_base.(k) && addr < tbl.tbl_limit.(k) then
-      tbl.tbl_slots.(k).(addr - tbl.tbl_base.(k)) <- Some v
-    else find (k + 1)
-  in
-  find 0
+let table_find tbl addr = table_find_from tbl addr 0
+
+let rec table_set_from tbl addr v k =
+  if k >= Array.length tbl.tbl_base then ()
+  else if addr >= tbl.tbl_base.(k) && addr < tbl.tbl_limit.(k) then
+    tbl.tbl_slots.(k).(addr - tbl.tbl_base.(k)) <- Some v
+  else table_set_from tbl addr v (k + 1)
+
+let table_set tbl addr v = table_set_from tbl addr v 0
 
 let build (process : Process.t) =
   let rec decode_all acc = function

@@ -26,28 +26,24 @@ let create specs =
    cache cannot change results, only the number of compares.  Each
    accessor resolves inline (rather than through a [find] returning a
    tuple) so the per-access cost is the compare pair and the byte load,
-   with no allocation. *)
+   with no allocation.  The scan is a top-level function rather than a
+   local loop, so a miss of the hot region allocates no closure either. *)
+let rec scan t addr len k =
+  let regions = t.regions in
+  if k = Array.length regions then raise (Fault addr)
+  else
+    let r = Array.unsafe_get regions k in
+    let off = addr - r.base in
+    if off >= 0 && off + len <= Bytes.length r.data then begin
+      t.hot <- k;
+      r
+    end
+    else scan t addr len (k + 1)
 
 let region_for t addr len =
-  let regions = t.regions in
-  let r = Array.unsafe_get regions t.hot in
+  let r = Array.unsafe_get t.regions t.hot in
   let off = addr - r.base in
-  if off >= 0 && off + len <= Bytes.length r.data then r
-  else begin
-    let n = Array.length regions in
-    let rec scan k =
-      if k = n then raise (Fault addr)
-      else
-        let r = Array.unsafe_get regions k in
-        let off = addr - r.base in
-        if off >= 0 && off + len <= Bytes.length r.data then begin
-          t.hot <- k;
-          r
-        end
-        else scan (k + 1)
-    in
-    scan 0
-  end
+  if off >= 0 && off + len <= Bytes.length r.data then r else scan t addr len 0
 
 let read_u8 t addr =
   let r = region_for t addr 1 in

@@ -64,6 +64,28 @@ let test_memory_fault () =
   checkb "mapped" true (Memory.is_mapped m 0x100f);
   checkb "unmapped" false (Memory.is_mapped m 0x1010)
 
+(* A miss of the hot region falls back to a scan; alternating between
+   two regions misses on every access, and must still allocate nothing.
+   The cost of the measurement itself is taken out first. *)
+let test_memory_miss_no_alloc () =
+  let m = Memory.create [ (0x1000, 64); (0x8000, 64) ] in
+  let measure f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let overhead = measure ignore in
+  let sum = ref 0 in
+  let words =
+    measure (fun () ->
+        for k = 1 to 10_000 do
+          sum :=
+            !sum + Memory.read_u8 m (if k land 1 = 0 then 0x1000 else 0x8000)
+        done)
+  in
+  ignore (Sys.opaque_identity !sum);
+  Alcotest.(check (float 0.0)) "minor words" 0.0 (words -. overhead)
+
 let test_memory_overlap_rejected () =
   match Memory.create [ (0, 16); (8, 16) ] with
   | exception Invalid_argument _ -> ()
@@ -585,6 +607,8 @@ let () =
           Alcotest.test_case "rw" `Quick test_memory_rw;
           Alcotest.test_case "fault" `Quick test_memory_fault;
           Alcotest.test_case "overlap" `Quick test_memory_overlap_rejected;
+          Alcotest.test_case "region miss allocates nothing" `Quick
+            test_memory_miss_no_alloc;
         ] );
       ( "semantics",
         [

@@ -63,6 +63,65 @@ let prop_crc_incremental =
       && Crc32.finish (Crc32.update (Crc32.init ()) data) = Crc32.bytes data
       && Crc32.string s = Crc32.bytes data)
 
+(* Byte-at-a-time reference, kept apart from the library so the
+   properties below compare two independent implementations rather than
+   the code with itself.  Works on the raw (pre-finish) register. *)
+let ref_crc_update crc data off len =
+  let crc = ref crc in
+  for i = off to off + len - 1 do
+    crc := !crc lxor Bytes.get_uint8 data i;
+    for _ = 0 to 7 do
+      crc :=
+        if !crc land 1 = 1 then 0xEDB88320 lxor (!crc lsr 1) else !crc lsr 1
+    done
+  done;
+  !crc
+
+let ref_crc data = ref_crc_update 0xFFFFFFFF data 0 (Bytes.length data) lxor 0xFFFFFFFF
+
+let test_crc_known_answers () =
+  checki "check value of \"123456789\"" 0xCBF43926 (Crc32.string "123456789");
+  checki "empty input" 0 (Crc32.string "");
+  checki "reference agrees on the check value" 0xCBF43926
+    (ref_crc (Bytes.of_string "123456789"))
+
+(* The library CRC of [data[off, off+len)] continued from the state
+   reached after [prefix], against the reference doing the same.  The
+   prefix is how a test reaches an arbitrary initial state through the
+   abstract [Crc32.state]. *)
+let crc_agrees ~prefix data ~off ~len =
+  let p = Bytes.of_string prefix in
+  let st = Crc32.update (Crc32.init ()) p in
+  let expect =
+    ref_crc_update (ref_crc_update 0xFFFFFFFF p 0 (Bytes.length p)) data off len
+    lxor 0xFFFFFFFF
+  in
+  Crc32.finish (Crc32.update st ~off ~len data) = expect
+
+let prop_crc_every_alignment =
+  QCheck2.Test.make ~name:"crc32 = reference, every offset 0-7 x length 0-64"
+    ~count:50
+    QCheck2.Gen.(pair (string_size (return 72)) (string_size (0 -- 16)))
+    (fun (s, prefix) ->
+      let data = Bytes.of_string s in
+      List.for_all
+        (fun off ->
+          List.for_all
+            (fun len -> crc_agrees ~prefix data ~off ~len)
+            (List.init 65 Fun.id))
+        (List.init 8 Fun.id))
+
+let prop_crc_long_slices =
+  QCheck2.Test.make ~name:"crc32 = reference, long random slices" ~count:200
+    QCheck2.Gen.(
+      triple (string_size (0 -- 20_000)) (string_size (0 -- 64)) (pair nat nat))
+    (fun (s, prefix, (a, b)) ->
+      let data = Bytes.of_string s in
+      let n = Bytes.length data in
+      let off = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - off = 0 then 0 else b mod (n - off + 1) in
+      crc_agrees ~prefix data ~off ~len)
+
 let test_crc_slice_validation () =
   let data = Bytes.of_string "0123456789" in
   let bad f = match f () with
@@ -555,6 +614,9 @@ let () =
       ( "crc32",
         [
           QCheck_alcotest.to_alcotest prop_crc_incremental;
+          Alcotest.test_case "known answers" `Quick test_crc_known_answers;
+          QCheck_alcotest.to_alcotest prop_crc_every_alignment;
+          QCheck_alcotest.to_alcotest prop_crc_long_slices;
           Alcotest.test_case "slice validation" `Quick
             test_crc_slice_validation;
         ] );
