@@ -68,7 +68,7 @@ let disabled_span_ns () =
   let bare_s = best bare and spanned_s = best spanned in
   (spanned_s -. bare_s) /. float_of_int n *. 1e9
 
-let pairs = 9
+let pairs = 21
 
 let run ppf =
   U.header ppf "Telemetry overhead (writes BENCH_telemetry.json)";
@@ -78,6 +78,7 @@ let run ppf =
   Metrics.reset ();
   let ws = workloads () in
   let enabled () =
+    Gc.full_major ();
     Trace.reset ();
     Metrics.reset ();
     Trace.enable ();
@@ -93,7 +94,10 @@ let run ppf =
   let identical = ref true and span_count = ref 0 in
   let runs =
     List.init pairs (fun i ->
-        let run_off () = time (fun () -> run_all ws) in
+        let run_off () =
+          Gc.full_major ();
+          time (fun () -> run_all ws)
+        in
         let (base_ps, base_s), (_, disabled_s) =
           if i mod 2 = 0 then
             let b = run_off () in
