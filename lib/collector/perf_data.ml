@@ -540,10 +540,10 @@ let unreadable path msg =
 module Stream = struct
   (* Sized to the minor heap: a decoded record is about 100 words, so a
      chunk of 256 is about 200 KB and dies young in the default
-     256k-word minor heap, consumed before the next minor collection
-     would promote it.  At 4096 a chunk (about 3 MB) outgrew the minor
-     heap and every record was copied to the major heap first.  Output
-     never depends on the chunk size. *)
+     256k-word minor heap, consumed before a minor collection can
+     promote it.  A chunk of a few thousand records outgrows the minor
+     heap, and every record is then copied to the major heap before it
+     is used.  Output never depends on the chunk size. *)
   let default_chunk_records = 256
 
   (* Refill granularity of the pending buffer (it grows as needed when a

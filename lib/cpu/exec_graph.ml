@@ -128,27 +128,28 @@ let build_block entry =
     b_memo = [];
   }
 
-(* Segment scans here and in the tables below are top-level functions,
-   not local loops, so a lookup allocates no closure. *)
-let rec block_from segments addr k =
-  if k >= Array.length segments then None
-  else
-    let s = Array.unsafe_get segments k in
-    if addr >= s.base && addr < s.limit then begin
-      let off = addr - s.base in
-      match Array.unsafe_get s.blocks off with
-      | Some _ as b -> b
-      | None -> (
-          match Array.unsafe_get s.slots off with
-          | None -> None
-          | Some entry ->
-              let b = build_block entry in
-              s.blocks.(off) <- Some b;
-              Some b)
-    end
-    else block_from segments addr (k + 1)
-
-let block_at t addr = block_from t.segments addr 0
+let block_at t addr =
+  let segments = t.segments in
+  let n = Array.length segments in
+  let rec find k =
+    if k >= n then None
+    else
+      let s = Array.unsafe_get segments k in
+      if addr >= s.base && addr < s.limit then begin
+        let off = addr - s.base in
+        match Array.unsafe_get s.blocks off with
+        | Some _ as b -> b
+        | None -> (
+            match Array.unsafe_get s.slots off with
+            | None -> None
+            | Some entry ->
+                let b = build_block entry in
+                s.blocks.(off) <- Some b;
+                Some b)
+      end
+      else find (k + 1)
+  in
+  find 0
 
 let create_table t =
   {
@@ -158,6 +159,8 @@ let create_table t =
       Array.map (fun s -> Array.make (Array.length s.slots) None) t.segments;
   }
 
+(* Table scans are top-level functions, not local loops, so a lookup on
+   the dispatch path allocates no closure. *)
 let rec table_find_from tbl addr k =
   if k >= Array.length tbl.tbl_base then None
   else if
