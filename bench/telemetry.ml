@@ -77,39 +77,44 @@ let run ppf =
   Metrics.disable ();
   Metrics.reset ();
   let ws = workloads () in
-  let enabled () =
+  (* The untimed warmup run is also the reference every timed run is
+     checked against.  A timed run's own result is dropped as soon as it
+     is checked, so every run executes over the same live heap: were the
+     first result of a pair kept while the second runs, the second would
+     be slower, and with an odd number of pairs that position effect
+     biases the median ratio. *)
+  let reference = run_all ws in
+  let identical = ref true in
+  let timed () =
     Gc.full_major ();
+    let ps, dt = time (fun () -> run_all ws) in
+    if not (List.for_all2 Perf.profiles_equal reference ps) then
+      identical := false;
+    dt
+  in
+  let enabled () =
     Trace.reset ();
     Metrics.reset ();
     Trace.enable ();
     Metrics.enable ();
-    let ps, dt = time (fun () -> run_all ws) in
+    let dt = timed () in
     Trace.disable ();
     Metrics.disable ();
-    (ps, dt)
+    dt
   in
-  (* Untimed warmup, so the first pair does not pay for major-heap
-     growth on behalf of the rest. *)
-  ignore (run_all ws);
-  let identical = ref true and span_count = ref 0 in
+  let span_count = ref 0 in
   let runs =
     List.init pairs (fun i ->
-        let run_off () =
-          Gc.full_major ();
-          time (fun () -> run_all ws)
-        in
-        let (base_ps, base_s), (_, disabled_s) =
+        let base_s, disabled_s =
           if i mod 2 = 0 then
-            let b = run_off () in
-            (b, run_off ())
+            let b = timed () in
+            (b, timed ())
           else
-            let d = run_off () in
-            (run_off (), d)
+            let d = timed () in
+            (timed (), d)
         in
-        let ps, enabled_s = enabled () in
+        let enabled_s = enabled () in
         span_count := Trace.span_count ();
-        if not (List.for_all2 Perf.profiles_equal base_ps ps) then
-          identical := false;
         (base_s, disabled_s, enabled_s))
   in
   Trace.reset ();
@@ -141,10 +146,10 @@ let run ppf =
     (100.0 *. enabled_overhead)
     !span_count;
   Format.fprintf ppf "disabled with_span cost:  %8.1f ns/call@." span_ns;
-  Format.fprintf ppf "profiles byte-identical with telemetry on: %b@."
+  Format.fprintf ppf "profiles byte-identical across runs, telemetry on and off: %b@."
     !identical;
   if not !identical then
-    failwith "BENCH telemetry: enabling telemetry changed profile bytes";
+    failwith "BENCH telemetry: a run with telemetry on or off changed profile bytes";
   U.write_out "BENCH_telemetry.json"
     {|{
   %s,
