@@ -146,10 +146,12 @@ let run ppf =
     (100.0 *. enabled_overhead)
     !span_count;
   Format.fprintf ppf "disabled with_span cost:  %8.1f ns/call@." span_ns;
-  Format.fprintf ppf "profiles byte-identical across runs, telemetry on and off: %b@."
+  Format.fprintf ppf
+    "profiles byte-identical across runs, telemetry on and off: %b@."
     !identical;
   if not !identical then
-    failwith "BENCH telemetry: a run with telemetry on or off changed profile bytes";
+    failwith
+      "BENCH telemetry: a run with telemetry on or off changed profile bytes";
   U.write_out "BENCH_telemetry.json"
     {|{
   %s,

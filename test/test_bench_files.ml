@@ -27,7 +27,9 @@ let parse s =
         skip_ws ()
     | _ -> ()
   in
-  let expect c = if peek () = c then incr pos else fail (Printf.sprintf "expected %c" c) in
+  let expect c =
+    if peek () = c then incr pos else fail (Printf.sprintf "expected %c" c)
+  in
   let literal word v =
     let l = String.length word in
     if !pos + l <= n && String.sub s !pos l = word then begin
@@ -168,9 +170,12 @@ let test_every_file () =
       (match List.assoc_opt "schema_version" fields with
       | Some (Number _) -> ()
       | _ -> Alcotest.failf "%s: no numeric schema_version" f);
-      let bench = Filename.chop_suffix (String.sub f 6 (String.length f - 6)) ".json" in
+      let bench =
+        Filename.chop_suffix (String.sub f 6 (String.length f - 6)) ".json"
+      in
       match List.assoc_opt "bench" fields with
-      | Some (String b) -> Alcotest.(check string) (f ^ " names its bench") bench b
+      | Some (String b) ->
+          Alcotest.(check string) (f ^ " names its bench") bench b
       | _ -> Alcotest.failf "%s: no bench name" f)
     files
 

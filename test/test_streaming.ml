@@ -77,7 +77,8 @@ let ref_crc_update crc data off len =
   done;
   !crc
 
-let ref_crc data = ref_crc_update 0xFFFFFFFF data 0 (Bytes.length data) lxor 0xFFFFFFFF
+let ref_crc data =
+  ref_crc_update 0xFFFFFFFF data 0 (Bytes.length data) lxor 0xFFFFFFFF
 
 let test_crc_known_answers () =
   checki "check value of \"123456789\"" 0xCBF43926 (Crc32.string "123456789");
