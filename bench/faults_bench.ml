@@ -3,8 +3,8 @@
    writer cost nothing when disarmed, and shows what a mild armed plan
    does to throughput and output.  Writes BENCH_faults.json.
 
-   Three series over the same workloads, interleaved so drift hits all
-   of them equally, best of [rounds] each:
+   Three series over the same workloads, measured as interleaved
+   triples so drift hits all of them equally:
 
    - baseline:       faults disarmed (the default state);
    - armed-inert:    the all-zero plan armed — every hook still resolves
@@ -12,6 +12,11 @@
      overhead pure run-to-run noise;
    - armed-mild:     a small multi-layer plan (sample drops, LBR
      corruption, record loss) actually injecting.
+
+   Each overhead is the median over the triples of the per-triple time
+   ratio against the baseline (the baseline/inert order alternates), with
+   its quartiles: two best-of-3 differences of identical code read
+   -5.22% and +7.13%, so a single difference carries no information.
 
    A microbench of the disarmed PMU hook site reports the per-sample
    cost of the [option] load in nanoseconds. *)
@@ -75,77 +80,113 @@ let disarmed_hook_ns () =
   let bare_s = best bare and hooked_s = best hooked in
   (hooked_s -. bare_s) /. float_of_int n *. 1e9
 
+let pairs = 21
+
 let run ppf =
   U.header ppf "Fault-injection overhead (writes BENCH_faults.json)";
   Faults.disarm ();
   Faults.reset_tally ();
   let ws = workloads () in
-  let rounds = 3 in
-  let baseline_s = ref infinity
-  and inert_s = ref infinity
-  and mild_s = ref infinity in
-  let baseline_profiles = ref [] and inert_profiles = ref [] in
-  let mild_profiles = ref [] in
-  for _ = 1 to rounds do
-    (* baseline (disarmed) *)
-    let ps, dt = time (fun () -> run_all ws) in
-    if dt < !baseline_s then baseline_s := dt;
-    baseline_profiles := ps;
-    (* armed-inert (all-zero plan: hooks still disarmed in effect) *)
+  (* The untimed warmup run is the reference every baseline and inert
+     run is checked against; a timed run's result is dropped once
+     checked, so every run executes over the same live heap. *)
+  let reference = run_all ws in
+  let identical = ref true in
+  let timed () =
+    Gc.full_major ();
+    time (fun () -> run_all ws)
+  in
+  let checked () =
+    let ps, dt = timed () in
+    if not (List.for_all2 Perf.profiles_equal reference ps) then
+      identical := false;
+    dt
+  in
+  let inert () =
     Faults.arm Plan.none;
-    let ps, dt = time (fun () -> run_all ws) in
+    let dt = checked () in
     Faults.disarm ();
-    if dt < !inert_s then inert_s := dt;
-    inert_profiles := ps;
-    (* armed-mild (really injecting) *)
+    dt
+  in
+  (* The tally is reset before each mild run, so after the loop it
+     holds exactly one mild run's injections. *)
+  let degraded = ref 0 in
+  let mild () =
     Faults.reset_tally ();
     Faults.arm mild_plan;
-    let ps, dt = time (fun () -> run_all ws) in
+    let ps, dt = timed () in
     Faults.disarm ();
-    if dt < !mild_s then mild_s := dt;
-    mild_profiles := ps
-  done;
+    degraded :=
+      List.length
+        (List.filter
+           (fun (p : Pipeline.profile) -> p.quality <> Pipeline.Full)
+           ps);
+    dt
+  in
+  let runs =
+    List.init pairs (fun i ->
+        let base_s, inert_s =
+          if i mod 2 = 0 then
+            let b = checked () in
+            (b, inert ())
+          else
+            let d = inert () in
+            (checked (), d)
+        in
+        (base_s, inert_s, mild ()))
+  in
   let tally = Faults.tally () in
   Faults.reset_tally ();
-  let identical =
-    List.for_all2 Perf.profiles_equal !baseline_profiles !inert_profiles
+  let series f = List.map f runs in
+  let median f = U.quantile 0.5 (series f) in
+  let baseline_s = median (fun (b, _, _) -> b)
+  and inert_s = median (fun (_, d, _) -> d)
+  and mild_s = median (fun (_, _, m) -> m) in
+  let quartiles ratio =
+    let rs = series ratio in
+    (U.quantile 0.5 rs, U.quantile 0.25 rs, U.quantile 0.75 rs)
   in
-  let degraded =
-    List.filter
-      (fun (p : Pipeline.profile) -> p.quality <> Pipeline.Full)
-      !mild_profiles
+  let inert_overhead, inert_q1, inert_q3 =
+    quartiles (fun (b, d, _) -> (d /. b) -. 1.0)
+  and mild_overhead, mild_q1, mild_q3 =
+    quartiles (fun (b, _, m) -> (m /. b) -. 1.0)
   in
-  let frac v = (v -. !baseline_s) /. !baseline_s in
-  let inert_overhead = frac !inert_s and mild_overhead = frac !mild_s in
   let hook_ns = disarmed_hook_ns () in
-  Format.fprintf ppf "%d workloads, best of %d rounds@." (List.length ws)
-    rounds;
-  Format.fprintf ppf "baseline (disarmed):      %8.3f s@." !baseline_s;
-  Format.fprintf ppf "armed inert plan:         %8.3f s  (%+.2f%% = noise)@."
-    !inert_s (100.0 *. inert_overhead);
-  Format.fprintf ppf "armed mild plan:          %8.3f s  (%+.2f%%)@." !mild_s
-    (100.0 *. mild_overhead);
+  Format.fprintf ppf "%d workloads, %d interleaved pairs@." (List.length ws)
+    pairs;
+  Format.fprintf ppf "baseline (disarmed):      %8.3f s median@." baseline_s;
+  Format.fprintf ppf
+    "armed inert plan:         %8.3f s  (%+.2f%% median pair, quartiles \
+     %+.2f%% .. %+.2f%% = noise)@."
+    inert_s (100.0 *. inert_overhead) (100.0 *. inert_q1) (100.0 *. inert_q3);
+  Format.fprintf ppf
+    "armed mild plan:          %8.3f s  (%+.2f%% median pair, quartiles \
+     %+.2f%% .. %+.2f%%)@."
+    mild_s (100.0 *. mild_overhead) (100.0 *. mild_q1) (100.0 *. mild_q3);
   Format.fprintf ppf "disarmed hook cost:       %8.1f ns/site@." hook_ns;
   Format.fprintf ppf "profiles byte-identical with inert plan armed: %b@."
-    identical;
-  Format.fprintf ppf "mild plan: %d/%d profiles degraded, tally:@."
-    (List.length degraded)
-    (List.length !mild_profiles);
+    !identical;
+  Format.fprintf ppf "mild plan: %d/%d profiles degraded, tally:@." !degraded
+    (List.length ws);
   List.iter
     (fun (k, n) -> Format.fprintf ppf "  %-28s %8d@." k n)
     tally;
-  if not identical then
+  if not !identical then
     failwith "BENCH faults: arming the inert plan changed profile bytes";
   U.write_out "BENCH_faults.json"
     {|{
   %s,
   "workloads": %d,
-  "rounds": %d,
+  "pairs": %d,
   "baseline_s": %.4f,
   "inert_s": %.4f,
   "mild_s": %.4f,
   "inert_overhead": %.4f,
+  "inert_overhead_q1": %.4f,
+  "inert_overhead_q3": %.4f,
   "mild_overhead": %.4f,
+  "mild_overhead_q1": %.4f,
+  "mild_overhead_q3": %.4f,
   "disarmed_hook_ns": %.1f,
   "profiles_identical_inert": %b,
   "mild_degraded_profiles": %d,
@@ -153,8 +194,8 @@ let run ppf =
 }
 |}
     (U.json_header ~bench:"faults")
-    (List.length ws) rounds !baseline_s !inert_s !mild_s inert_overhead
-    mild_overhead hook_ns identical (List.length degraded)
+    (List.length ws) pairs baseline_s inert_s mild_s inert_overhead inert_q1
+    inert_q3 mild_overhead mild_q1 mild_q3 hook_ns !identical !degraded
     (String.concat ", "
        (List.map (fun (k, n) -> Printf.sprintf {|"%s": %d|} k n) tally));
   Format.fprintf ppf "wrote BENCH_faults.json@."

@@ -725,6 +725,7 @@ let stats_cmd =
 (* ---- lint ----------------------------------------------------------- *)
 
 module V = Hbbp_verifier
+module Metrics = Hbbp_telemetry.Metrics
 
 (* One lint target: a workload name (linted in place) or the whole set
    of archive paths (shards of one collection, linted from their
@@ -746,20 +747,6 @@ let lint_errors r =
       1
   | Some _ | None -> 0
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Version of the machine-readable lint report below; bump on any
    shape change so CI consumers can pin what they parse. *)
 let lint_schema_version = 1
@@ -773,7 +760,7 @@ let lint_json results =
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
         (Printf.sprintf "{\"target\":\"%s\",\"kind\":\"%s\",\"diagnostics\":["
-           (json_escape r.lr_target)
+           (Metrics.json_escape r.lr_target)
            (match r.lr_kind with
            | `Workload -> "workload"
            | `Archive -> "archive"));
@@ -784,7 +771,7 @@ let lint_json results =
             (Printf.sprintf "{\"rule\":\"%s\",\"severity\":\"%s\",\"image\":\"%s\""
                (V.Diagnostic.rule_id d.V.Diagnostic.rule)
                (V.Diagnostic.severity_to_string d.V.Diagnostic.severity)
-               (json_escape d.V.Diagnostic.image));
+               (Metrics.json_escape d.V.Diagnostic.image));
           Option.iter
             (fun a -> Buffer.add_string buf (Printf.sprintf ",\"addr\":%d" a))
             d.V.Diagnostic.addr;
@@ -793,7 +780,7 @@ let lint_json results =
             d.V.Diagnostic.block;
           Buffer.add_string buf
             (Printf.sprintf ",\"message\":\"%s\"}"
-               (json_escape d.V.Diagnostic.message)))
+               (Metrics.json_escape d.V.Diagnostic.message)))
         r.lr_diags;
       Buffer.add_string buf "]";
       Option.iter
@@ -960,7 +947,7 @@ let repair_json results =
       Buffer.add_string buf
         (Printf.sprintf
            "{\"target\":\"%s\",\"kind\":\"%s\",\"pre_conservation_error\":%.6f,\"post_conservation_error\":%.6f,\"iterations\":%d,\"converged\":%b,\"adjusted_blocks\":%d,\"moved_mass\":%.1f,\"raw_mix_error\":%s,\"repaired_mix_error\":%s,\"violation\":%b}"
-           (json_escape r.rr_target)
+           (Metrics.json_escape r.rr_target)
            (match r.rr_kind with
            | `Workload -> "workload"
            | `Archive -> "archive")

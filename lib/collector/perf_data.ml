@@ -168,43 +168,87 @@ let w_kernel_text buf (name, code) =
   w_string buf name;
   w_bytes buf code
 
+(* Encoded sizes, mirroring the writers above, so [to_bytes] allocates
+   its buffer once at the final size: grown by doubling, the buffer
+   alone allocated 2-4x the archive.  A mismatch costs a resize, never
+   a wrong byte. *)
+let s_string s = 8 + String.length s
+let s_sum f items = List.fold_left (fun acc x -> acc + f x) 0 items
+let s_list f items = 8 + s_sum f items
+
+let s_image (img : Image.t) =
+  s_string img.name + 17 + Bytes.length img.code
+  + s_list (fun (s : Symbol.t) -> s_string s.name + 16) img.symbols
+
+let s_record (r : Record.t) =
+  match r with
+  | Record.Comm { name; _ } -> 9 + s_string name
+  | Record.Mmap { name; _ } -> 18 + s_string name
+  | Record.Fork _ -> 17
+  | Record.Sample s ->
+      26 + s_string (Pmu_event.to_string s.Record.event)
+      + (16 * Array.length s.Record.lbr)
+  | Record.Lost _ -> 9
+
+(* Exact for v2 (magic, version byte, four 24-byte section headers);
+   v1's three list counts make it an over-estimate there. *)
+let encoded_size t =
+  String.length magic + 1 + (4 * 24) + s_string t.workload_name + 16
+  + s_sum s_image t.analysis_images
+  + s_sum (fun (name, code) -> s_string name + 8 + Bytes.length code)
+      t.live_kernel_text
+  + s_sum s_record t.records
+
 (* A v2 section: payload length, item count, CRC-32 of the payload,
-   then the payload itself. *)
-let w_section buf ~count payload =
-  let p = Buffer.contents payload in
-  w_i64 buf (String.length p);
-  w_i64 buf count;
-  w_i64 buf (Crc32.string p);
-  Buffer.add_string buf p
+   then the payload itself.  The payload is written in place behind a
+   zeroed 24-byte header; [patch_section] fills the header in once the
+   final bytes exist, so no payload is ever copied out of the buffer. *)
+let w_section buf ~count write =
+  let at = Buffer.length buf in
+  w_i64 buf 0;
+  w_i64 buf 0;
+  w_i64 buf 0;
+  write buf;
+  (at, count, Buffer.length buf - at - 24)
+
+let patch_section out (at, count, len) =
+  Bytes.set_int64_le out at (Int64.of_int len);
+  Bytes.set_int64_le out (at + 8) (Int64.of_int count);
+  Bytes.set_int64_le out (at + 16)
+    (Int64.of_int (Crc32.bytes ~off:(at + 24) ~len out))
 
 let to_bytes ?(version = current_version) t =
-  let buf = Buffer.create (1 lsl 16) in
+  let buf = Buffer.create (encoded_size t) in
   Buffer.add_string buf magic;
   w_u8 buf version;
-  (match version with
+  match version with
   | 1 ->
       w_header_payload buf t;
       w_list buf w_image t.analysis_images;
       w_list buf w_kernel_text t.live_kernel_text;
-      w_list buf w_record t.records
+      w_list buf w_record t.records;
+      Buffer.to_bytes buf
   | 2 ->
-      let payload f =
-        let b = Buffer.create 4096 in
-        f b;
-        b
+      let header = w_section buf ~count:0 (fun b -> w_header_payload b t) in
+      let images =
+        w_section buf
+          ~count:(List.length t.analysis_images)
+          (fun b -> List.iter (w_image b) t.analysis_images)
       in
-      w_section buf ~count:0 (payload (fun b -> w_header_payload b t));
-      w_section buf
-        ~count:(List.length t.analysis_images)
-        (payload (fun b -> List.iter (w_image b) t.analysis_images));
-      w_section buf
-        ~count:(List.length t.live_kernel_text)
-        (payload (fun b -> List.iter (w_kernel_text b) t.live_kernel_text));
-      w_section buf
-        ~count:(List.length t.records)
-        (payload (fun b -> List.iter (w_record b) t.records))
-  | v -> invalid_arg (Printf.sprintf "Perf_data.to_bytes: unknown version %d" v));
-  Buffer.to_bytes buf
+      let kernel =
+        w_section buf
+          ~count:(List.length t.live_kernel_text)
+          (fun b -> List.iter (w_kernel_text b) t.live_kernel_text)
+      in
+      let records =
+        w_section buf
+          ~count:(List.length t.records)
+          (fun b -> List.iter (w_record b) t.records)
+      in
+      let out = Buffer.to_bytes buf in
+      List.iter (patch_section out) [ header; images; kernel; records ];
+      out
+  | v -> invalid_arg (Printf.sprintf "Perf_data.to_bytes: unknown version %d" v)
 
 (* -- reader -- *)
 
@@ -461,8 +505,8 @@ let of_bytes data =
    serialized bytes first, exactly as before: they model damage to the
    data, not to the write path (that is the io.* family, injected
    inside Durable itself). *)
-let save ?version t ~path =
-  let data = Faults.mangle_archive (to_bytes ?version t) in
+let save t ~path =
+  let data = Faults.mangle_archive (to_bytes t) in
   Hbbp_durable.Durable.write_bytes ~path data
 
 let load ~path =
@@ -488,9 +532,9 @@ let shard_path path index shards =
 (* The exact bytes each shard would hold on disk (mangled per the
    armed archive-fault plan, like [save]) without writing anything —
    the unit of work resumable collection compares and publishes. *)
-let sharded_bytes ?version t ~shards ~path =
+let sharded_bytes t ~shards ~path =
   if shards < 1 then invalid_arg "Perf_data.sharded_bytes: shards < 1";
-  if shards = 1 then [ (path, Faults.mangle_archive (to_bytes ?version t)) ]
+  if shards = 1 then [ (path, Faults.mangle_archive (to_bytes t)) ]
   else begin
     let records = Array.of_list t.records in
     let n = Array.length records in
@@ -498,12 +542,12 @@ let sharded_bytes ?version t ~shards ~path =
         let lo = i * n / shards and hi = (i + 1) * n / shards in
         let slice = Array.to_list (Array.sub records lo (hi - lo)) in
         ( shard_path path i shards,
-          Faults.mangle_archive (to_bytes ?version { t with records = slice })
+          Faults.mangle_archive (to_bytes { t with records = slice })
         ))
   end
 
-let save_sharded ?version t ~shards ~path =
-  let parts = sharded_bytes ?version t ~shards ~path in
+let save_sharded t ~shards ~path =
+  let parts = sharded_bytes t ~shards ~path in
   let written =
     List.mapi
       (fun i (p, data) ->

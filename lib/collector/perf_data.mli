@@ -85,7 +85,8 @@ type read = { archive : t; ledger : fault list }
 val current_version : int
 
 (** [to_bytes ?version t] — serialize; [version] is [2] (default,
-    checksummed sections) or [1] (legacy flat format).
+    checksummed sections) or [1] (legacy flat format, kept so tests can
+    write v1 fixtures; every publisher writes the default).
     @raise Invalid_argument on any other version. *)
 val to_bytes : ?version:int -> t -> bytes
 
@@ -93,18 +94,18 @@ val to_bytes : ?version:int -> t -> bytes
     typed [Error] — never raises, whatever the input bytes. *)
 val of_bytes : bytes -> (read, error) result
 
-(** [save ?version t ~path] — write the archive atomically
+(** [save t ~path] — write the archive atomically
     ({!Hbbp_durable.Durable.write_bytes}: tmp + fsync + rename), so a
     crash mid-write never leaves a torn file.  When a fault plan with
     archive faults is armed ({!Hbbp_faults.Faults.arm}), the serialized
     bytes are mangled (bit flips / truncation) before hitting disk. *)
-val save : ?version:int -> t -> path:string -> unit
+val save : t -> path:string -> unit
 
 val load : path:string -> (read, error) result
 
 (** {1 Sharded writing}
 
-    [save_sharded ?version t ~shards ~path] splits the record stream
+    [save_sharded t ~shards ~path] splits the record stream
     into [shards] contiguous slices and writes one archive per slice
     (identical metadata, so each shard is independently analyzable);
     returns the paths written.  ["trace.hbbp"] with 3 shards becomes
@@ -114,19 +115,18 @@ val load : path:string -> (read, error) result
     shard is published atomically, and a complete {!Manifest} sidecar
     is written last.
     @raise Invalid_argument when [shards < 1]. *)
-val save_sharded :
-  ?version:int -> t -> shards:int -> path:string -> string list
+val save_sharded : t -> shards:int -> path:string -> string list
 
 (** [shard_path path i shards] — the name of shard [i]:
     ["trace.hbbp"] → ["trace.0of3.hbbp"]. *)
 val shard_path : string -> int -> int -> string
 
-(** [sharded_bytes ?version t ~shards ~path] — the exact
+(** [sharded_bytes t ~shards ~path] — the exact
     (path, bytes) each shard of {!save_sharded} would publish, without
     touching the filesystem (archive-fault mangling included).  The
     unit of comparison for resumable collection. *)
 val sharded_bytes :
-  ?version:int -> t -> shards:int -> path:string -> (string * bytes) list
+  t -> shards:int -> path:string -> (string * bytes) list
 
 (** {1 Chunked streaming reader}
 

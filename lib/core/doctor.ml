@@ -315,19 +315,6 @@ let run ?max_jobs ?shards ?config (w : Workload.t) =
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json (r : report) =
   let buf = Buffer.create 1024 in
   let run_json (jr : jobs_run) =
@@ -348,14 +335,15 @@ let to_json (r : report) =
   Buffer.add_string buf
     (Printf.sprintf
        "{\"workload\":\"%s\",\"shards\":%d,\"records\":%d,\"consistent\":%b,\"degraded\":%b,\"runs\":[%s],\"alloc_sites\":[%s]}"
-       (escape r.rep_workload) r.rep_shards r.rep_records r.rep_consistent
+       (Metrics.json_escape r.rep_workload)
+       r.rep_shards r.rep_records r.rep_consistent
        r.rep_degraded
        (String.concat "," (List.map run_json r.rep_runs))
        (String.concat ","
           (List.map
              (fun s ->
                Printf.sprintf "{\"span\":\"%s\",\"words\":%d}"
-                 (escape s.site_span) s.site_words)
+                 (Metrics.json_escape s.site_span) s.site_words)
              r.rep_alloc_sites)));
   Buffer.contents buf
 

@@ -11,20 +11,31 @@ let w_str buf s =
   w_i64 buf (String.length s);
   Buffer.add_string buf s
 
+(* Each payload is written in place behind a zeroed 16-byte header,
+   which is patched once the final bytes exist, so no payload is copied
+   out of the buffer. *)
 let to_bytes ~magic ~version sections =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf magic;
   Buffer.add_uint8 buf version;
+  let spans =
+    List.fold_left
+      (fun acc write_payload ->
+        let at = Buffer.length buf in
+        w_i64 buf 0;
+        w_i64 buf 0;
+        write_payload buf;
+        (at, Buffer.length buf - at - 16) :: acc)
+      [] sections
+  in
+  let out = Buffer.to_bytes buf in
   List.iter
-    (fun write_payload ->
-      let p = Buffer.create 1024 in
-      write_payload p;
-      let payload = Buffer.to_bytes p in
-      w_i64 buf (Bytes.length payload);
-      w_i64 buf (Hbbp_util.Crc32.bytes payload);
-      Buffer.add_bytes buf payload)
-    sections;
-  Buffer.to_bytes buf
+    (fun (at, len) ->
+      Bytes.set_int64_le out at (Int64.of_int len);
+      Bytes.set_int64_le out (at + 8)
+        (Int64.of_int (Hbbp_util.Crc32.bytes ~off:(at + 16) ~len out)))
+    spans;
+  out
 
 type cursor = { data : bytes; mutable pos : int; limit : int }
 

@@ -13,7 +13,8 @@ val w_i64 : Buffer.t -> int -> unit
 val w_str : Buffer.t -> string -> unit
 
 (** [to_bytes ~magic ~version sections] — the header, then one section
-    per writer, in order. *)
+    per writer, in order.  Every writer appends its payload to the one
+    output buffer; it must only append. *)
 val to_bytes :
   magic:string -> version:int -> (Buffer.t -> unit) list -> bytes
 

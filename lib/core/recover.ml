@@ -44,7 +44,7 @@ let manifest_complete ~dir ~shards m =
   && List.length m.Manifest.written = shards
   && List.for_all (Manifest.shard_ok ~dir) m.Manifest.written
 
-let collect_sharded ?config ?version ?(resume = false)
+let collect_sharded ?config ?(resume = false)
     ?(should_stop = fun () -> false) ?(inter_shard_delay_s = 0.0) ~shards
     ~path (w : Workload.t) =
   if shards < 1 then invalid_arg "Recover.collect_sharded: shards < 1";
@@ -72,7 +72,7 @@ let collect_sharded ?config ?version ?(resume = false)
           (path :: Manifest.path_for path :: paths)
       end;
       let archive = Pipeline.collect_archive ?config w in
-      let parts = Perf_data.sharded_bytes ?version archive ~shards ~path in
+      let parts = Perf_data.sharded_bytes archive ~shards ~path in
       let written = ref [] in
       let save_manifest ~complete =
         Manifest.save

@@ -37,7 +37,6 @@ val shard_paths : shards:int -> path:string -> string list
     testing). *)
 val collect_sharded :
   ?config:Pipeline.config ->
-  ?version:int ->
   ?resume:bool ->
   ?should_stop:(unit -> bool) ->
   ?inter_shard_delay_s:float ->

@@ -122,14 +122,6 @@ let evaluate ?(thresholds = default_thresholds) (snap : Metrics.snapshot) =
     warn "recover: %d shard%s rewritten on resume (previous run left them torn or stale)"
       rewritten
       (if rewritten = 1 then "" else "s");
-  let stuck_workers = counter snap "pool.watchdog_stuck" in
-  if stuck_workers > 0 then
-    crit "pool: watchdog flagged %d stuck worker report%s" stuck_workers
-      (if stuck_workers = 1 then "" else "s");
-  let timeouts = counter snap "pool.timeouts" in
-  if timeouts > 0 then
-    warn "pool: %d task%s cancelled on deadline" timeouts
-      (if timeouts = 1 then "" else "s");
   let restores = counter snap "checkpoint.restores" in
   if restores > 0 then
     warn "checkpoint: resumed from checkpoint (%d restore%s)" restores
@@ -167,24 +159,12 @@ let status_name = function
 
 let reasons = function Ok -> [] | Warn rs -> rs | Critical rs -> rs
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json status =
   Printf.sprintf "{\"status\":\"%s\",\"reasons\":[%s]}" (status_name status)
     (String.concat ","
-       (List.map (fun r -> "\"" ^ escape r ^ "\"") (reasons status)))
+       (List.map
+          (fun r -> "\"" ^ Metrics.json_escape r ^ "\"")
+          (reasons status)))
 
 let pp ppf status =
   Format.fprintf ppf "health: %s@." (status_name status);

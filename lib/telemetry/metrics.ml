@@ -153,13 +153,16 @@ let snapshot () =
 
 let find snapshot name = List.assoc_opt name snapshot
 
-let escape s =
+let json_escape s =
   let buf = Buffer.create (String.length s + 2) in
   String.iter
     (fun c ->
       match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\r' -> Buffer.add_string buf "\\r"
       | c when Char.code c < 0x20 ->
           Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char buf c)
@@ -180,7 +183,7 @@ let json_object snapshot =
   List.iteri
     (fun k (name, v) ->
       if k > 0 then Buffer.add_string buf ",";
-      Buffer.add_string buf (Printf.sprintf "\"%s\":" (escape name));
+      Buffer.add_string buf (Printf.sprintf "\"%s\":" (json_escape name));
       match v with
       | Counter n ->
           Buffer.add_string buf

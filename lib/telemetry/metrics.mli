@@ -80,3 +80,9 @@ val to_json : snapshot -> string
     and health payloads. *)
 val json_object : snapshot -> string
 val pp_table : Format.formatter -> snapshot -> unit
+
+(** [json_escape s] — [s] as the body of a JSON string literal: quote,
+    backslash, [\n], [\t] and [\r] get their short escapes, other
+    control characters [\u00XX].  The one escaper behind every JSON
+    output (metrics, trace, health, doctor, lint, repair, PGO export). *)
+val json_escape : string -> string

@@ -1,6 +1,5 @@
 (** Continuous metric export: full registry snapshots appended to a
-    JSONL file while the run executes, plus a bounded in-memory ring of
-    the most recent lines.
+    JSONL file while the run executes.
 
     Emission is driven by span closes (no background thread): a
     snapshot is written when [every_spans] spans have closed since the
@@ -17,11 +16,10 @@
 
 (** [configure ~path ()] — open (truncate) [path], enable the metrics
     registry, and install the span-close tick.  [every_spans] defaults
-    to 64, [interval_s] to 1.0, [retention] (ring size) to 128.
-    Reconfiguring closes the previous stream. *)
+    to 64, [interval_s] to 1.0.  Reconfiguring closes the previous
+    stream. *)
 val configure :
-  ?every_spans:int -> ?interval_s:float -> ?retention:int -> path:string ->
-  unit -> unit
+  ?every_spans:int -> ?interval_s:float -> path:string -> unit -> unit
 
 val active : unit -> bool
 
@@ -30,17 +28,9 @@ val seq : unit -> int
 
 val path : unit -> string option
 
-(** Force one emission now (e.g. at a phase boundary). *)
-val emit_now : unit -> unit
-
-(** The retained ring, oldest first, as [(seq, line)] pairs — the live
-    view a status endpoint serves without re-reading the file. *)
-val recent : unit -> (int * string) list
-
 (** Emit one final snapshot, close the file, remove the tick.
     Idempotent. *)
 val finalize : unit -> unit
 
 val default_every_spans : int
 val default_interval_s : float
-val default_retention : int

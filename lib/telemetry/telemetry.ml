@@ -25,8 +25,7 @@ let opt_or_env ~parse explicit var =
   | Some _ as v -> v
   | None -> Option.bind (Sys.getenv_opt var) parse
 
-let configure ?trace ?metrics ?metrics_stream ?stream_every_spans
-    ?stream_interval_s ?runtime_profile () =
+let configure ?trace ?metrics ?metrics_stream ?runtime_profile () =
   let trace =
     match trace with Some _ as t -> t | None -> Sys.getenv_opt "HBBP_TRACE"
   in
@@ -54,9 +53,7 @@ let configure ?trace ?metrics ?metrics_stream ?stream_every_spans
       Metrics.enable ()
   | None -> ());
   (match metrics_stream with
-  | Some path when path <> "" ->
-      Snapshot.configure ?every_spans:stream_every_spans
-        ?interval_s:stream_interval_s ~path ()
+  | Some path when path <> "" -> Snapshot.configure ~path ()
   | Some _ | None -> ());
   (* The runtime profiler rides along whenever any sink is armed — GC
      attribution is the point of tracing/metering a run — unless

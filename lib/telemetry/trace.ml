@@ -259,28 +259,14 @@ let event_count () =
 (* ------------------------------------------------------------------ *)
 (* Chrome trace_event export                                           *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let add_args buf args =
   Buffer.add_string buf "{";
   List.iteri
     (fun k (key, v) ->
       if k > 0 then Buffer.add_string buf ",";
-      Buffer.add_string buf (Printf.sprintf "\"%s\":\"%s\"" (escape key) (escape v)))
+      Buffer.add_string buf
+        (Printf.sprintf "\"%s\":\"%s\"" (Metrics.json_escape key)
+           (Metrics.json_escape v)))
     args;
   Buffer.add_string buf "}"
 
@@ -310,7 +296,8 @@ let export () =
       Buffer.add_string buf
         (Printf.sprintf
            ",{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d,\"args\":"
-           (escape s.name) (escape s.cat) s.start_us s.dur_us s.track);
+           (Metrics.json_escape s.name) (Metrics.json_escape s.cat)
+           s.start_us s.dur_us s.track);
       add_args buf s.args;
       Buffer.add_string buf "}")
     all;
@@ -321,19 +308,20 @@ let export () =
           Buffer.add_string buf
             (Printf.sprintf
                ",{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{"
-               (escape e_name) e_ts_us e_track);
+               (Metrics.json_escape e_name) e_ts_us e_track);
           List.iteri
             (fun k (key, v) ->
               if k > 0 then Buffer.add_string buf ",";
               Buffer.add_string buf
-                (Printf.sprintf "\"%s\":%.3f" (escape key) v))
+                (Printf.sprintf "\"%s\":%.3f" (Metrics.json_escape key) v))
             e_values;
           Buffer.add_string buf "}}"
       | Instant { e_name; e_cat; e_track; e_ts_us; e_args } ->
           Buffer.add_string buf
             (Printf.sprintf
                ",{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\"pid\":1,\"tid\":%d,\"args\":"
-               (escape e_name) (escape e_cat) e_ts_us e_track);
+               (Metrics.json_escape e_name) (Metrics.json_escape e_cat)
+               e_ts_us e_track);
           add_args buf e_args;
           Buffer.add_string buf "}")
     evs;

@@ -11,46 +11,6 @@ let default_jobs () =
 
 let now = Unix.gettimeofday
 
-(* ------------------------------------------------------------------ *)
-(* Cancellation tokens                                                 *)
-
-module Token = struct
-  type t = {
-    flag : bool Atomic.t;
-    deadline : float option;  (* absolute gettimeofday, from create *)
-    started : float;
-  }
-
-  exception Cancelled
-
-  let create ?deadline_s () =
-    let started = now () in
-    {
-      flag = Atomic.make false;
-      deadline = Option.map (fun d -> started +. d) deadline_s;
-      started;
-    }
-
-  let cancel t = Atomic.set t.flag true
-
-  let cancelled t =
-    Atomic.get t.flag
-    || match t.deadline with Some d -> now () > d | None -> false
-
-  let check t = if cancelled t then raise Cancelled
-  let elapsed_s t = now () -. t.started
-end
-
-exception Timeout of { index : int; elapsed_s : float }
-
-let () =
-  Printexc.register_printer (function
-    | Timeout { index; elapsed_s } ->
-        Some
-          (Printf.sprintf "Domain_pool.Timeout(index=%d, elapsed_s=%.3f)"
-             index elapsed_s)
-    | _ -> None)
-
 type worker_stats = { tasks : int; busy_s : float; wait_s : float }
 
 let utilization (s : worker_stats) =
@@ -256,10 +216,8 @@ let shutdown pool =
     emit_timeline pool
   end
 
-(* The shared fan-out engine: [apply k x] runs task [k].  Both the
-   plain and the supervised map go through here, so the lowest-index
-   exception law holds identically for ordinary failures and typed
-   timeouts. *)
+(* The fan-out engine: [apply x] runs one task.  Failures surface by
+   the lowest-index law, whatever the scheduling. *)
 let map_core pool apply xs =
   let n = Array.length xs in
   if pool.closed then invalid_arg "Domain_pool: pool is shut down";
@@ -270,10 +228,10 @@ let map_core pool apply xs =
        The first exception propagates immediately — which is the
        lowest-indexed one, since tasks run in order. *)
     let cell = pool.cells.(0) in
-    Array.mapi
-      (fun k x ->
+    Array.map
+      (fun x ->
         let t0 = now () in
-        let v = apply k x in
+        let v = apply x in
         let t1 = now () in
         cell.c_tasks <- cell.c_tasks + 1;
         cell.c_busy_s <- cell.c_busy_s +. (t1 -. t0);
@@ -288,7 +246,7 @@ let map_core pool apply xs =
     let done_lock = Mutex.create () in
     let all_done = Condition.create () in
     let task k () =
-      (match apply k xs.(k) with
+      (match apply xs.(k) with
       | v ->
           Mutex.lock done_lock;
           results.(k) <- Some v;
@@ -325,101 +283,11 @@ let map_core pool apply xs =
         Array.map (function Some v -> v | None -> assert false) results
   end
 
-let map_array pool f xs =
-  map_core pool
-    (fun _ x -> Trace.with_span ~cat:"pool" "task" (fun () -> f x))
-    xs
-
-let map pool f xs = Array.to_list (map_array pool f (Array.of_list xs))
-
-(* ------------------------------------------------------------------ *)
-(* Supervised map: per-task deadlines, cooperative cancellation, a
-   watchdog for workers that stop cooperating.                         *)
-
-(* Watchdog view of one in-flight task.  The mutable fields are only
-   ever written by the watchdog domain itself; workers publish/retract
-   whole slots through the enclosing Atomic. *)
-type supervision_slot = {
-  s_tok : Token.t;
-  mutable s_cancelled_at : float;
-  mutable s_flagged : bool;
-}
-
-let watchdog_loop slots ~interval_s ~stop =
-  let grace = 2.0 *. interval_s in
-  while not (Atomic.get stop) do
-    Unix.sleepf interval_s;
-    Array.iter
-      (fun cell ->
-        match Atomic.get cell with
-        | None -> ()
-        | Some s ->
-            if Token.cancelled s.s_tok then begin
-              if s.s_cancelled_at = 0.0 then begin
-                (* Past deadline: make the cancellation explicit so
-                   chunk-boundary checks fire even if the task's own
-                   clock reads lag. *)
-                Token.cancel s.s_tok;
-                s.s_cancelled_at <- now ()
-              end
-              else if (not s.s_flagged) && now () -. s.s_cancelled_at > grace
-              then begin
-                (* Cancelled a while ago and still running: the worker
-                   is not reaching its chunk boundaries. *)
-                s.s_flagged <- true;
-                Metrics.add (Metrics.counter "pool.watchdog_stuck") 1
-              end
-            end)
-      slots
-  done
-
-let default_watchdog_interval deadline_s =
-  Float.max 0.001 (Float.min 0.25 (deadline_s /. 4.0))
-
-let map_supervised_array pool ?deadline_s ?watchdog_interval_s f xs =
-  let n = Array.length xs in
-  let slots = Array.init n (fun _ -> Atomic.make None) in
-  let watchdog =
-    match deadline_s with
-    | Some d when pool.n_jobs > 1 && n > 0 ->
-        let interval_s =
-          match watchdog_interval_s with
-          | Some i -> Float.max 0.001 i
-          | None -> default_watchdog_interval d
-        in
-        let stop = Atomic.make false in
-        let dom = Domain.spawn (fun () -> watchdog_loop slots ~interval_s ~stop) in
-        Some (stop, dom)
-    | _ -> None
-  in
-  let apply k x =
-    let tok = Token.create ?deadline_s () in
-    Atomic.set slots.(k)
-      (Some { s_tok = tok; s_cancelled_at = 0.0; s_flagged = false });
-    Fun.protect
-      ~finally:(fun () -> Atomic.set slots.(k) None)
-      (fun () ->
-        try Trace.with_span ~cat:"pool" "task" (fun () -> f tok x)
-        with Token.Cancelled ->
-          Metrics.add (Metrics.counter "pool.timeouts") 1;
-          raise (Timeout { index = k; elapsed_s = Token.elapsed_s tok }))
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      match watchdog with
-      | Some (stop, dom) ->
-          Atomic.set stop true;
-          Domain.join dom
-      | None -> ())
-    (fun () -> map_core pool apply xs)
-
-let map_supervised pool ?deadline_s ?watchdog_interval_s f xs =
+let map pool f xs =
   Array.to_list
-    (map_supervised_array pool ?deadline_s ?watchdog_interval_s f
+    (map_core pool
+       (fun x -> Trace.with_span ~cat:"pool" "task" (fun () -> f x))
        (Array.of_list xs))
-
-let map_reduce pool ~map:f ~fold ~init xs =
-  List.fold_left fold init (map pool f xs)
 
 let with_pool ?jobs f =
   let pool = create ?jobs () in

@@ -154,6 +154,24 @@ let test_archive_roundtrip () =
       checkb "canonical bytes" true
         (Bytes.equal data (Perf_data.to_bytes archive'))
 
+(* Encoding writes every section once into one buffer allocated at its
+   final size and patches the section headers in place; copying each
+   section out and back in again cost 6-8x the archive size. *)
+let test_archive_encode_allocation () =
+  List.iter
+    (fun name ->
+      let archive =
+        Hbbp_core.Pipeline.collect_archive (Hbbp_workloads.Registry.find name)
+      in
+      let before = Gc.allocated_bytes () in
+      let data = Perf_data.to_bytes archive in
+      let allocated = Gc.allocated_bytes () -. before in
+      let ratio = allocated /. float_of_int (Bytes.length data) in
+      if ratio > 5.0 then
+        Alcotest.failf "%s: to_bytes allocated %.1fx the %d-byte archive" name
+          ratio (Bytes.length data))
+    [ "hello"; "test40" ]
+
 let test_archive_errors () =
   (match Perf_data.of_bytes (Bytes.of_string "NOTHBBP!") with
   | Error Perf_data.Bad_magic -> ()
@@ -251,6 +269,8 @@ let () =
       ( "perf_data",
         [
           Alcotest.test_case "roundtrip" `Quick test_archive_roundtrip;
+          Alcotest.test_case "encode allocation" `Quick
+            test_archive_encode_allocation;
           Alcotest.test_case "errors" `Quick test_archive_errors;
           Alcotest.test_case "kernel patch" `Quick test_archive_kernel_patch;
           Alcotest.test_case "offline = online" `Slow

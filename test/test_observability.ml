@@ -39,12 +39,12 @@ let starts_with ~prefix s = String.starts_with ~prefix s
 (* ------------------------------------------------------------------ *)
 (* Snapshot stream                                                     *)
 
-let test_stream_seq_and_retention () =
+let test_stream_seq_and_lines () =
   let path = Filename.temp_file "hbbp-test-stream" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Snapshot.configure ~every_spans:1 ~retention:4 ~path ();
+      Snapshot.configure ~every_spans:1 ~path ();
       checkb "stream active" true (Snapshot.active ());
       checks "path reported" path (Option.get (Snapshot.path ()));
       checkb "configure enabled metrics" true (Metrics.enabled ());
@@ -56,17 +56,6 @@ let test_stream_seq_and_retention () =
       done;
       checki "one line per span at every_spans=1" 6 (Snapshot.seq ());
       checki "no spans recorded" 0 (Trace.span_count ());
-      (* The ring retains only the newest [retention] lines. *)
-      let recent = Snapshot.recent () in
-      checki "ring bounded by retention" 4 (List.length recent);
-      Alcotest.(check (list int))
-        "ring holds the newest seqs, oldest first" [ 2; 3; 4; 5 ]
-        (List.map fst recent);
-      List.iter
-        (fun (s, line) ->
-          checkb "line carries its seq" true
-            (starts_with ~prefix:(Printf.sprintf "{\"seq\":%d," s) line))
-        recent;
       Snapshot.finalize ();
       checkb "inactive after finalize" false (Snapshot.active ());
       (* File holds every line (6 ticks + the final flush), seq gap-free
@@ -121,11 +110,8 @@ let test_stream_reconfigure () =
       checki "second stream has tick + final" 2 (List.length (read_lines p2)))
 
 let test_stream_rejects_bad_config () =
-  (match Snapshot.configure ~every_spans:0 ~path:"/dev/null" () with
+  match Snapshot.configure ~every_spans:0 ~path:"/dev/null" () with
   | () -> Alcotest.fail "every_spans=0 must be rejected"
-  | exception Invalid_argument _ -> ());
-  match Snapshot.configure ~retention:0 ~path:"/dev/null" () with
-  | () -> Alcotest.fail "retention=0 must be rejected"
   | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -327,8 +313,8 @@ let () =
     [
       ( "stream",
         [
-          Alcotest.test_case "seq, retention and ring" `Quick
-            (clean test_stream_seq_and_retention);
+          Alcotest.test_case "seq and lines on disk" `Quick
+            (clean test_stream_seq_and_lines);
           Alcotest.test_case "interval-driven emission" `Quick
             (clean test_stream_interval_emission);
           Alcotest.test_case "reconfigure moves the stream" `Quick
